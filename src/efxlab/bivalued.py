@@ -10,9 +10,12 @@ rounds with round-robin picks.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .core import (
     Allocation,
@@ -36,12 +39,21 @@ class ZeroLowValue(FairDivisionError):
 
 @dataclass
 class MatchFreezeState:
-    """Mutable per-run bookkeeping for the matching rounds."""
+    """Mutable per-run bookkeeping for the matching rounds.
+
+    ``priority`` and ``high_goods`` are built on the first round: the
+    participants in matching order, and each one's high-valued goods in
+    ascending order. The pool only shrinks, so goods taken in earlier rounds
+    are dropped from the front of a list lazily, and the matching skips the
+    rest.
+    """
 
     freeze_counters: list[int]
     pool: set[int]
     bundles: list[set[int]]
     frozen_events: list[int] = field(default_factory=list)
+    priority: list[int] = field(default_factory=list)
+    high_goods: dict[int, list[int]] = field(default_factory=dict)
 
 
 def prioritized_max_matching(
@@ -54,25 +66,41 @@ def prioritized_max_matching(
 
     Standard augmenting-path construction: agents are tried in order, and an
     agent joins the matching exactly when an augmenting path exists; earlier
-    commitments are never undone.
+    commitments are never undone. The depth-first search keeps an explicit
+    stack, so long augmenting paths need no recursion; edges outside the
+    pool are skipped.
     """
     match_of_good: dict[int, int] = {}
     match_of_agent: dict[int, int] = {}
 
-    def augment(agent: int, visited: set[int]) -> bool:
-        for g in high_edges.get(agent, ()):
-            if g not in pool or g in visited:
+    for root in agents:
+        visited: set[int] = set()
+        # The path so far: agents, each with her untried edges, and the good
+        # each agent but the last would take if the path reaches a free good.
+        path_agents = [root]
+        edges = [iter(high_edges.get(root, ()))]
+        path_goods: list[int] = []
+        while edges:
+            for g in edges[-1]:
+                if g in pool and g not in visited:
+                    break
+            else:
+                # No augmenting path through this agent: back up one step.
+                edges.pop()
+                path_agents.pop()
+                if path_goods:
+                    path_goods.pop()
                 continue
             visited.add(g)
+            path_goods.append(g)
             holder = match_of_good.get(g)
-            if holder is None or augment(holder, visited):
-                match_of_good[g] = agent
-                match_of_agent[agent] = g
-                return True
-        return False
-
-    for agent in agents:
-        augment(agent, set())
+            if holder is None:
+                for agent, good in zip(path_agents, path_goods):
+                    match_of_good[good] = agent
+                    match_of_agent[agent] = good
+                break
+            path_agents.append(holder)
+            edges.append(iter(high_edges.get(holder, ())))
     return match_of_agent
 
 
@@ -84,28 +112,46 @@ def _check_bivalued(instance: Instance, participants: Sequence[int]) -> None:
             raise ZeroLowValue(f"agent {i} has low value 0")
 
 
+def _high_goods(instance: Instance, agent: int, high: Value) -> list[int]:
+    """The agent's goods worth ``high``, her high value, ascending."""
+    row = instance.scaled_values[agent]
+    top = int(row.argmax())
+    if instance.values[agent][top] != high:
+        return []
+    return np.flatnonzero(row == row[top]).tolist()
+
+
 def match_freeze_round(
     instance: Instance,
     participants: Sequence[int],
     state: MatchFreezeState,
 ) -> None:
     """One matching round: matched agents take high goods, the rest take the
-    lowest-index available good, and freeze counters are updated in place."""
+    lowest-index available good, and freeze counters are updated in place.
+
+    Every round of a run must get the same participants.
+    """
     assert instance.bivalued_meta is not None
     meta = instance.bivalued_meta
+    if not state.priority:
+        # Higher high-to-low ratio first, ties by agent index.
+        state.priority = sorted(participants, key=lambda i: (-(meta[i][0] / meta[i][1]), i))
+        state.high_goods = {i: _high_goods(instance, i, meta[i][0]) for i in participants}
     unfrozen = []
     for i in participants:
         if state.freeze_counters[i] > 0:
             state.freeze_counters[i] -= 1
         else:
             unfrozen.append(i)
-    # Higher high-to-low ratio first, ties by agent index.
-    priority = sorted(unfrozen, key=lambda i: (-(meta[i][0] / meta[i][1]), i))
-    high_edges = {
-        i: [g for g in sorted(state.pool) if instance.values[i][g] == meta[i][0]]
-        for i in unfrozen
-    }
-    matching = prioritized_max_matching(priority, high_edges, state.pool)
+    unfrozen_set = set(unfrozen)
+    priority = [i for i in state.priority if i in unfrozen_set]
+    for i in priority:
+        goods = state.high_goods[i]
+        taken = 0
+        while taken < len(goods) and goods[taken] not in state.pool:
+            taken += 1
+        del goods[:taken]
+    matching = prioritized_max_matching(priority, state.high_goods, state.pool)
     for i, g in matching.items():
         state.bundles[i].add(g)
         state.pool.discard(g)
@@ -114,7 +160,7 @@ def match_freeze_round(
     # bundle first: when the pool runs dry mid-round, the leftover must go
     # to whoever is behind, or exact EFX is lost.
     unmatched = sorted(
-        set(unfrozen) - set(matching), key=lambda i: (len(state.bundles[i]), i)
+        unfrozen_set - set(matching), key=lambda i: (len(state.bundles[i]), i)
     )
     for i in unmatched:
         if not state.pool:
@@ -123,8 +169,11 @@ def match_freeze_round(
         state.bundles[i].add(g)
         state.pool.discard(g)
         h_i, l_i = meta[i]
+        # Goods taken this round are still in the sorted high lists.
+        high_i = state.high_goods[i]
         for j, gj in matched_this_round:
-            if instance.values[i][gj] == h_i:
+            pos = bisect_left(high_i, gj)
+            if pos < len(high_i) and high_i[pos] == gj:
                 # ceil(h/l) - 1 low goods are needed to catch up to the lost
                 # high good; the floor variant undercompensates whenever l
                 # does not divide h, and measurably breaks exact EFX.
@@ -135,20 +184,14 @@ def match_freeze_round(
 
 
 def match_and_freeze(
-    instance: Instance,
-    participants: Optional[Sequence[int]] = None,
-    state: Optional[MatchFreezeState] = None,
-) -> Allocation | MatchFreezeState:
+    instance: Instance, participants: Optional[Sequence[int]] = None
+) -> Allocation:
     """Full run of the matching-with-freezing procedure over all goods.
 
-    When ``state`` is supplied, performs a single round instead and returns
-    the updated state (the caller owns the loop).
+    Callers that own the loop use :func:`match_freeze_round` instead.
     """
     agents = list(participants) if participants is not None else list(range(instance.n))
     _check_bivalued(instance, agents)
-    if state is not None:
-        match_freeze_round(instance, agents, state)
-        return state
     run_state = MatchFreezeState(
         freeze_counters=[0] * instance.n,
         pool=set(range(instance.m)),

@@ -1,15 +1,21 @@
 """Domain types, ranking construction and exact fairness metrics.
 
-Values are exact rationals (``fractions.Fraction``); every envy factor is
-computed and compared without any floating point.
+Values are exact rationals (``fractions.Fraction``) at the boundary. Inside,
+each instance keeps one integer matrix in which every agent's row is scaled
+by the least common multiple of its denominators; rankings and envy ratios
+are unchanged by a positive per-agent scale, so every decision is exact and
+no floating point is involved.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
+
+import numpy as np
 
 Value = Fraction
 
@@ -48,39 +54,77 @@ def format_value(v: Value) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
+def _scale_rows(
+    values: Sequence[Sequence[Value]], m: int
+) -> tuple[np.ndarray, list[int]]:
+    """Each row times the least common multiple of its denominators, and
+    those multipliers.
+
+    The matrix is int64 when cross-multiplied bundle sums provably fit, and
+    exact Python integers (object dtype) otherwise.
+    """
+    rows, scales = [], []
+    for row in values:
+        denominators = [v.denominator for v in row]
+        scale = math.lcm(*denominators)
+        if scale == 1:
+            rows.append([v.numerator for v in row])
+        else:
+            factor = {d: scale // d for d in set(denominators)}
+            rows.append([v.numerator * factor[d] for v, d in zip(row, denominators)])
+        scales.append(scale)
+    top = max(max(r) for r in rows)
+    overflows = top and (top * m) ** 2 >= 2**62
+    matrix = np.array(rows, dtype=object if overflows else np.int64)
+    matrix.flags.writeable = False
+    return matrix, scales
+
+
 @dataclass(frozen=True)
 class Instance:
     """An agents-by-goods matrix of exact non-negative values.
 
     ``bivalued_meta`` optionally records per-agent (high, low) value pairs;
     when present every entry of that agent's row must be one of the two.
+
+    ``scaled_values`` is the read-only integer form of ``values`` that every
+    ranking and envy comparison uses: row i is ``values[i]`` times the least
+    common multiple of its denominators. Ratios of one agent's values, and
+    so her ranking and all her envy ratios, are those of ``values``; values
+    of different agents are on different scales and must not be compared.
     """
 
     n: int
     m: int
     values: tuple[tuple[Value, ...], ...]
     bivalued_meta: Optional[tuple[tuple[Value, Value], ...]] = None
+    scaled_values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.m < 1:
             raise DomainError(f"need n >= 1 and m >= 1, got n={self.n}, m={self.m}")
         if len(self.values) != self.n or any(len(row) != self.m for row in self.values):
             raise DomainError("values matrix must be n x m")
-        for row in self.values:
-            for v in row:
-                if v < 0:
-                    raise DomainError("values must be non-negative")
+        scaled, scales = _scale_rows(self.values, self.m)
+        object.__setattr__(self, "scaled_values", scaled)
+        if scaled.min() < 0:
+            raise DomainError("values must be non-negative")
         if self.bivalued_meta is not None:
             if len(self.bivalued_meta) != self.n:
                 raise DomainError("bivalued_meta must have one (h, l) pair per agent")
             for i, (h, low) in enumerate(self.bivalued_meta):
                 if not h > low >= 0:
                     raise DomainError(f"agent {i}: need h > l >= 0")
-                for v in self.values[i]:
-                    if v != h and v != low:
-                        raise DomainError(
-                            f"agent {i}: value {v} is neither h={h} nor l={low}"
-                        )
+                # An entry equals h exactly when it equals h on the row's scale.
+                allowed = np.zeros(self.m, dtype=bool)
+                for v in (h * scales[i], low * scales[i]):
+                    if v.denominator == 1:
+                        allowed |= scaled[i] == v.numerator
+                if not allowed.all():
+                    v = next(v for v in self.values[i] if v != h and v != low)
+                    raise DomainError(
+                        f"agent {i}: value {v} is neither h={h} nor l={low}"
+                    )
 
     @staticmethod
     def from_rows(
@@ -135,8 +179,9 @@ class PreferenceProfile:
 
     def __post_init__(self) -> None:
         m = len(self.rankings[0]) if self.rankings else 0
+        goods = set(range(m))
         for r in self.rankings:
-            if sorted(r) != list(range(m)):
+            if len(r) != m or set(r) != goods:
                 raise DomainError("each ranking must be a permutation of 0..m-1")
 
     @property
@@ -164,10 +209,21 @@ class Allocation:
 
     @staticmethod
     def from_json(data: dict, m: Optional[int] = None) -> "Allocation":
-        bundles = tuple(frozenset(int(g) for g in b) for b in data["bundles"])
-        allocated = sum(len(b) for b in bundles)
-        complete = m is not None and allocated == m
-        return Allocation(bundles, complete)
+        """Parse ``{"bundles": [[good, ...], ...]}``; goods are JSON integers
+        (booleans are not) and each appears at most once."""
+        raw = data.get("bundles") if isinstance(data, dict) else None
+        if not isinstance(raw, list) or not all(isinstance(b, list) for b in raw):
+            raise InvalidAllocation('expected {"bundles": [[good, ...], ...]}')
+        seen: set[int] = set()
+        for bundle in raw:
+            for g in bundle:
+                if isinstance(g, bool) or not isinstance(g, int):
+                    raise InvalidAllocation(f"good {g!r} is not an integer")
+                if g in seen:
+                    raise OverlapError(f"good {g} appears more than once")
+                seen.add(g)
+        complete = m is not None and len(seen) == m
+        return Allocation(tuple(frozenset(b) for b in raw), complete)
 
 
 @dataclass(frozen=True)
@@ -189,11 +245,8 @@ class FairnessReport:
 
 def build_ranking(instance: Instance) -> PreferenceProfile:
     """Rank each agent's goods by value descending, ties by ascending index."""
-    rankings = tuple(
-        tuple(sorted(range(instance.m), key=lambda g: (-instance.values[i][g], g)))
-        for i in range(instance.n)
-    )
-    return PreferenceProfile(rankings)
+    order = np.argsort(-instance.scaled_values, axis=1, kind="stable")
+    return PreferenceProfile(tuple(map(tuple, order.tolist())))
 
 
 def validate(instance: Instance, allocation: Allocation) -> None:
@@ -225,58 +278,64 @@ def fairness_report(instance: Instance, allocation: Allocation) -> FairnessRepor
     factor contribution is min(1, v_i(X_i) / (v_i(X_j) - worst-removal)),
     and the EF1 one uses the best removal instead. Pairs whose denominator
     is zero impose no constraint; with no constraining pair both factors
-    are 1.
+    are 1. The removed good of a binding is the lowest-index one attaining
+    the minimum (EFX) or maximum (EF1) of the envied bundle, and a binding
+    moves only to a pair, taken in (i, j) order, with a strictly smaller
+    factor.
     """
     validate(instance, allocation)
     n, m = instance.n, instance.m
-    owner = [-1] * m
+    values = instance.scaled_values
+    owner = np.full(m, -1)
     for j, bundle in enumerate(allocation.bundles):
-        for g in bundle:
-            owner[g] = j
+        owner[list(bundle)] = j
 
-    one = Fraction(1)
-    alpha_efx = one
-    alpha_ef1 = one
-    raw_efx: Optional[Fraction] = None
+    # [viewer i][bundle j]: v_i(X_j), and the lowest-index least and most
+    # valuable good of X_j under v_i (unset for empty bundles).
+    sums = np.zeros((n, n), dtype=values.dtype)
+    min_good = np.zeros((n, n), dtype=np.int64)
+    max_good = np.zeros((n, n), dtype=np.int64)
+    for j, bundle in enumerate(allocation.bundles):
+        if bundle:
+            goods = np.flatnonzero(owner == j)
+            block = values[:, goods]
+            sums[:, j] = block.sum(axis=1)
+            min_good[:, j] = goods[block.argmin(axis=1)]
+            max_good[:, j] = goods[block.argmax(axis=1)]
+    min_value = np.take_along_axis(values, min_good, axis=1).tolist()
+    max_value = np.take_along_axis(values, max_good, axis=1).tolist()
+    sums_l, min_good_l, max_good_l = sums.tolist(), min_good.tolist(), max_good.tolist()
+
+    # Factors as (numerator, denominator) pairs of one agent's scaled ints,
+    # compared by cross-multiplication; both capped factors start at 1.
+    efx, ef1 = (1, 1), (1, 1)
+    raw_efx: Optional[tuple[int, int]] = None
     efx_binding: Optional[tuple[int, int, int]] = None
     ef1_binding: Optional[tuple[int, int, int]] = None
-
     for i in range(n):
-        row = instance.values[i]
-        sums = [Fraction(0)] * n
-        min_good = [-1] * n
-        max_good = [-1] * n
-        for g in range(m):
-            j = owner[g]
-            if j < 0:
-                continue
-            v = row[g]
-            sums[j] += v
-            if min_good[j] < 0 or v < row[min_good[j]]:
-                min_good[j] = g
-            if max_good[j] < 0 or v > row[max_good[j]]:
-                max_good[j] = g
-        own = sums[i]
+        own = sums_l[i][i]
         for j in range(n):
             if j == i or not allocation.bundles[j]:
                 continue
-            efx_den = sums[j] - row[min_good[j]]
+            efx_den = sums_l[i][j] - min_value[i][j]
             if efx_den > 0:
-                ratio = own / efx_den
-                if raw_efx is None or ratio < raw_efx:
-                    raw_efx = ratio
-                capped = min(one, ratio)
-                if capped < alpha_efx:
-                    alpha_efx = capped
-                    efx_binding = (i, j, min_good[j])
-            ef1_den = sums[j] - row[max_good[j]]
-            if ef1_den > 0:
-                capped = min(one, own / ef1_den)
-                if capped < alpha_ef1:
-                    alpha_ef1 = capped
-                    ef1_binding = (i, j, max_good[j])
+                if raw_efx is None or own * raw_efx[1] < raw_efx[0] * efx_den:
+                    raw_efx = (own, efx_den)
+                if own * efx[1] < efx[0] * efx_den:
+                    efx = (own, efx_den)
+                    efx_binding = (i, j, min_good_l[i][j])
+            ef1_den = sums_l[i][j] - max_value[i][j]
+            if ef1_den > 0 and own * ef1[1] < ef1[0] * ef1_den:
+                ef1 = (own, ef1_den)
+                ef1_binding = (i, j, max_good_l[i][j])
 
-    return FairnessReport(alpha_efx, alpha_ef1, efx_binding, ef1_binding, raw_efx)
+    return FairnessReport(
+        Fraction(*efx),
+        Fraction(*ef1),
+        efx_binding,
+        ef1_binding,
+        Fraction(*raw_efx) if raw_efx is not None else None,
+    )
 
 
 def alpha_efx(instance: Instance, allocation: Allocation) -> FairnessReport:

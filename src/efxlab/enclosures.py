@@ -15,13 +15,28 @@ from fractions import Fraction
 DEFAULT_REL_WIDTH = Fraction(1, 10**12)
 
 
+# Integers below this convert to float exactly, so a float root is a seed
+# within a few units of the answer.
+_FLOAT_EXACT = 2**53
+
+
 def integer_nth_root(x: int, q: int) -> int:
     """Largest integer r with r**q <= x, for x >= 0 and q >= 1."""
     if x < 0:
         raise ValueError("x must be non-negative")
     if q == 1 or x in (0, 1):
         return x
-    r = int(round(x ** (1.0 / q)))
+    if x < _FLOAT_EXACT:
+        r = int(round(x ** (1.0 / q)))
+    else:
+        # Newton's method in integers, from 2**ceil(bits/q) > x**(1/q): the
+        # iterates decrease until they reach the floor of the root.
+        r = 1 << -(-x.bit_length() // q)
+        while True:
+            s = ((q - 1) * r + x // r ** (q - 1)) // q
+            if s >= r:
+                break
+            r = s
     while r > 0 and r**q > x:
         r -= 1
     while (r + 1) ** q <= x:
@@ -40,6 +55,16 @@ def _exact_nth_root(t: Fraction, q: int) -> Fraction | None:
     return Fraction(rn, rd)
 
 
+def _root_guess(t: Fraction, q: int) -> Fraction:
+    """t**(1/q) to about 64 significant bits, in integer arithmetic, for t
+    whose float overflows or underflows."""
+    # Scale t by 2**(q*e) so that its root is near 2**64, then take the root
+    # of the integer part.
+    e = 64 - (t.numerator.bit_length() - t.denominator.bit_length()) // q
+    scaled = t * Fraction(2) ** (q * e)
+    return integer_nth_root(math.floor(scaled), q) / Fraction(2) ** e
+
+
 def nth_root_enclosure(
     t: Fraction, q: int, rel_width: Fraction = DEFAULT_REL_WIDTH
 ) -> tuple[Fraction, Fraction]:
@@ -56,7 +81,12 @@ def nth_root_enclosure(
     exact = _exact_nth_root(t, q)
     if exact is not None:
         return exact, exact
-    guess = Fraction(float(t) ** (1.0 / q))
+    try:
+        guess = Fraction(float(t) ** (1.0 / q))
+    except OverflowError:  # t beyond the float range
+        guess = Fraction(0)
+    if guess == 0:
+        guess = _root_guess(t, q)
     pad = Fraction(1, 10**9)
     lo = guess * (1 - pad)
     hi = guess * (1 + pad)

@@ -2,8 +2,8 @@
 
 The exhaustive search enumerates all n**m complete allocations (good j is
 the j-th base-n digit, good 0 most significant) with exact integer
-arithmetic: each agent's row is scaled to integers, which leaves her envy
-ratios unchanged.
+arithmetic on the instance's per-agent scaled integer rows, which leave
+every envy ratio unchanged.
 """
 
 from __future__ import annotations
@@ -28,25 +28,6 @@ _CHUNK = 1 << 16
 
 class TooLarge(FairDivisionError):
     """Exhaustive enumeration would exceed the guard."""
-
-
-def _scaled_rows(instance: Instance) -> np.ndarray:
-    """Per-agent integer scaling of the value matrix.
-
-    Uses int64 when cross-multiplied bundle-sum products provably fit, and
-    falls back to exact Python integers (object dtype) otherwise.
-    """
-    rows = []
-    for i in range(instance.n):
-        denlcm = 1
-        for v in instance.values[i]:
-            denlcm = denlcm * v.denominator // math.gcd(denlcm, v.denominator)
-        row = [int(v * denlcm) for v in instance.values[i]]
-        rows.append(row)
-    top = max((max(r) for r in rows), default=0)
-    if top and (top * instance.m) ** 2 >= 2**62:
-        return np.array(rows, dtype=object)
-    return np.array(rows, dtype=np.int64)
 
 
 def assignment_chunks(n: int, m: int, chunk: int = _CHUNK) -> Iterator[np.ndarray]:
@@ -94,7 +75,7 @@ def _allocation_from_digits(digits: np.ndarray, n: int) -> Allocation:
 def exact_efx_bruteforce(instance: Instance) -> Optional[Allocation]:
     """First complete allocation in enumeration order that is exactly EFX, if any."""
     _guard(instance)
-    values = _scaled_rows(instance)
+    values = instance.scaled_values
     n = instance.n
     for digits in assignment_chunks(n, instance.m):
         sums, mins, big = _pair_tables(values, digits, n)
@@ -115,7 +96,7 @@ def exact_efx_bruteforce(instance: Instance) -> Optional[Allocation]:
 def best_alpha_bruteforce(instance: Instance) -> tuple[Value, Allocation]:
     """Maximum EFX factor over all complete allocations, with the first witness."""
     _guard(instance)
-    values = _scaled_rows(instance)
+    values = instance.scaled_values
     n = instance.n
     best_num, best_den = -1, 1  # below any real alpha, so the first assignment wins
     best_digits: Optional[np.ndarray] = None
@@ -151,6 +132,26 @@ def best_alpha_bruteforce(instance: Instance) -> tuple[Value, Allocation]:
     return Fraction(best_num, best_den), _allocation_from_digits(best_digits, n)
 
 
+def _common_scale(instance: Instance) -> np.ndarray:
+    """The value matrix with every agent's row on one common integer scale.
+
+    ``scaled_values`` scales each row by its own factor, so values of
+    different agents can be compared only after bringing the rows to the
+    least common multiple of those factors.
+    """
+    scaled = instance.scaled_values
+    factors = []
+    for i, top in enumerate(scaled.argmax(axis=1).tolist()):
+        v = instance.values[i][top]
+        # Row i was multiplied by scaled/v; an all-zero row needs no factor.
+        factors.append(int(scaled[i, top]) * v.denominator // v.numerator if v else 1)
+    common = math.lcm(*factors)
+    if common == 1:
+        return scaled
+    multipliers = np.array([common // f for f in factors], dtype=object)
+    return scaled.astype(object) * multipliers[:, None]
+
+
 def envy_cycle_heuristic(instance: Instance) -> Allocation:
     """Assign goods to unenvied agents, rotating bundles along envy cycles.
 
@@ -159,25 +160,24 @@ def envy_cycle_heuristic(instance: Instance) -> Allocation:
     when everyone is envied the cycle reachable from the lowest-index agent
     is rotated. The output is always complete.
     """
-    n, m = instance.n, instance.m
-    order = sorted(
-        range(m), key=lambda g: (min(-instance.values[i][g] for i in range(n)), g)
-    )
+    n = instance.n
+    order = np.argsort(-_common_scale(instance).max(axis=0), kind="stable").tolist()
+    rows = instance.scaled_values.tolist()
     bundles: list[set[int]] = [set() for _ in range(n)]
-    # worth[i][j] = v_i(X_j), maintained incrementally.
-    worth = [[Fraction(0)] * n for _ in range(n)]
+    # worth[i][j] = v_i(X_j) on agent i's own integer scale, kept incrementally.
+    worth = [[0] * n for _ in range(n)]
 
     def envies(i: int, j: int) -> bool:
         return worth[i][i] < worth[i][j]
 
-    def unenvied_agent() -> Optional[int]:
-        for j in range(n):
-            if not any(envies(i, j) for i in range(n) if i != j):
-                return j
-        return None
+    def count_enviers(j: int) -> int:
+        # No agent envies herself, so the sum needs no i != j filter.
+        return sum(worth[i][i] < worth[i][j] for i in range(n))
 
+    # enviers[j] = number of agents envying agent j, kept in step with worth.
+    enviers = [0] * n
     for g in order:
-        target = unenvied_agent()
+        target = next((j for j in range(n) if not enviers[j]), None)
         while target is None:
             # Every agent is envied, so every node has an incoming envy edge;
             # walking those edges backwards from agent 0 must revisit a node,
@@ -200,10 +200,20 @@ def envy_cycle_heuristic(instance: Instance) -> Allocation:
                 for t, agent in enumerate(cycle):
                     new_worth[agent] = worth[i][cycle[(t + 1) % len(cycle)]]
                 worth[i] = new_worth
-            target = unenvied_agent()
+            enviers = [count_enviers(j) for j in range(n)]
+            target = next((j for j in range(n) if not enviers[j]), None)
+        # The good changes column ``target`` of worth: the target's own
+        # worth can only end her envy of others, and others may start to
+        # envy her.
+        own = worth[target][target]
+        envied_by_target = [j for j, w in enumerate(worth[target]) if own < w]
         bundles[target].add(g)
         for i in range(n):
-            worth[i][target] += instance.values[i][g]
+            worth[i][target] += rows[i][g]
+        for j in envied_by_target:
+            if not envies(target, j):
+                enviers[j] -= 1
+        enviers[target] = count_enviers(target)
 
     return Allocation(tuple(frozenset(b) for b in bundles), complete=True)
 

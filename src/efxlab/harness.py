@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, TextIO
 
+import numpy as np
+
 from .adversarial import (
     OrdinalLBFamily,
     QueryLBFamily,
@@ -204,9 +206,7 @@ def execute(
         allocation = prr(oracle, theorem5_params(n, m, kk, lamv))
         bound, bound_kind = theorem5_bound(n, m, kk, lamv), "efx"
     elif algorithm == "match_freeze":
-        result = match_and_freeze(instance)
-        assert isinstance(result, Allocation)
-        allocation = result
+        allocation = match_and_freeze(instance)
         bound, bound_kind = Fraction(1), "efx"
     elif algorithm == "mfrr":
         allocation = mfrr(oracle)
@@ -320,14 +320,9 @@ def sweep(config: dict, out: TextIO) -> None:
 
 def _consistent_with_ranking(instance: Instance, reference: Instance) -> bool:
     """True if instance's values are nonincreasing along reference's rankings."""
-    profile = build_ranking(reference)
-    for i in range(instance.n):
-        ranking = profile.rankings[i]
-        row = instance.values[i]
-        for a, b in zip(ranking, ranking[1:]):
-            if row[a] < row[b]:
-                return False
-    return True
+    order = np.array(build_ranking(reference).rankings)
+    along = np.take_along_axis(instance.scaled_values, order, axis=1)
+    return not (along[:, 1:] > along[:, :-1]).any()
 
 
 def adversary_ordinal(n: int, m: int, algorithm: str) -> dict:
@@ -358,7 +353,12 @@ def query_family_cap(family: QueryLBFamily, constant: int = 2) -> Value:
 
 
 def adversary_query(n: int, k: int, t: int, algorithm: str, budget: int) -> dict:
-    """Run an algorithm under budget against the query family; complete and check."""
+    """Run an algorithm under budget against the query family; complete and check.
+
+    The construction's adversary needs a middle segment, so k must be >= 2.
+    """
+    if k < 2:
+        raise DomainError("the query family adversary needs k >= 2")
     family = query_lb_build(n, k, t)
     lam = default_lambda(n, family.m, budget) if algorithm == "prr" else None
     run_oracle = QueryOracle(family.revealed, budget=budget)

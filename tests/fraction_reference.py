@@ -1,0 +1,236 @@
+"""Reference copies of replaced implementations: the pure-``Fraction``
+ranking, fairness report, match-freeze rounds and envy-cycle heuristic, the
+exhaustive oracles' per-call row scaling, the recursive matching, and the
+float-seeded root enclosure. The differential tests run the library against
+these and require identical outputs; nothing outside the tests imports this
+module.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Optional, Sequence
+
+import numpy as np
+
+from efxlab.core import Allocation, FairnessReport, Instance, PreferenceProfile, validate
+
+
+def build_ranking(instance: Instance) -> PreferenceProfile:
+    rankings = tuple(
+        tuple(sorted(range(instance.m), key=lambda g: (-instance.values[i][g], g)))
+        for i in range(instance.n)
+    )
+    return PreferenceProfile(rankings)
+
+
+def fairness_report(instance: Instance, allocation: Allocation) -> FairnessReport:
+    validate(instance, allocation)
+    n, m = instance.n, instance.m
+    owner = [-1] * m
+    for j, bundle in enumerate(allocation.bundles):
+        for g in bundle:
+            owner[g] = j
+
+    one = Fraction(1)
+    alpha_efx = one
+    alpha_ef1 = one
+    raw_efx: Optional[Fraction] = None
+    efx_binding = None
+    ef1_binding = None
+
+    for i in range(n):
+        row = instance.values[i]
+        sums = [Fraction(0)] * n
+        min_good = [-1] * n
+        max_good = [-1] * n
+        for g in range(m):
+            j = owner[g]
+            if j < 0:
+                continue
+            v = row[g]
+            sums[j] += v
+            if min_good[j] < 0 or v < row[min_good[j]]:
+                min_good[j] = g
+            if max_good[j] < 0 or v > row[max_good[j]]:
+                max_good[j] = g
+        own = sums[i]
+        for j in range(n):
+            if j == i or not allocation.bundles[j]:
+                continue
+            efx_den = sums[j] - row[min_good[j]]
+            if efx_den > 0:
+                ratio = own / efx_den
+                if raw_efx is None or ratio < raw_efx:
+                    raw_efx = ratio
+                capped = min(one, ratio)
+                if capped < alpha_efx:
+                    alpha_efx = capped
+                    efx_binding = (i, j, min_good[j])
+            ef1_den = sums[j] - row[max_good[j]]
+            if ef1_den > 0:
+                capped = min(one, own / ef1_den)
+                if capped < alpha_ef1:
+                    alpha_ef1 = capped
+                    ef1_binding = (i, j, max_good[j])
+
+    return FairnessReport(alpha_efx, alpha_ef1, efx_binding, ef1_binding, raw_efx)
+
+
+def prioritized_max_matching(
+    agents: Sequence[int], high_edges: dict, pool: set
+) -> dict[int, int]:
+    """The recursive augmenting-path matching."""
+    match_of_good: dict[int, int] = {}
+    match_of_agent: dict[int, int] = {}
+
+    def augment(agent: int, visited: set[int]) -> bool:
+        for g in high_edges.get(agent, ()):
+            if g not in pool or g in visited:
+                continue
+            visited.add(g)
+            holder = match_of_good.get(g)
+            if holder is None or augment(holder, visited):
+                match_of_good[g] = agent
+                match_of_agent[agent] = g
+                return True
+        return False
+
+    for agent in agents:
+        augment(agent, set())
+    return match_of_agent
+
+
+def match_freeze_round(instance: Instance, participants: Sequence[int], state) -> None:
+    """One round, with the high edges rebuilt from the sorted pool."""
+    meta = instance.bivalued_meta
+    unfrozen = []
+    for i in participants:
+        if state.freeze_counters[i] > 0:
+            state.freeze_counters[i] -= 1
+        else:
+            unfrozen.append(i)
+    priority = sorted(unfrozen, key=lambda i: (-(meta[i][0] / meta[i][1]), i))
+    high_edges = {
+        i: [g for g in sorted(state.pool) if instance.values[i][g] == meta[i][0]]
+        for i in unfrozen
+    }
+    matching = prioritized_max_matching(priority, high_edges, state.pool)
+    for i, g in matching.items():
+        state.bundles[i].add(g)
+        state.pool.discard(g)
+    matched_this_round = list(matching.items())
+    unmatched = sorted(
+        set(unfrozen) - set(matching), key=lambda i: (len(state.bundles[i]), i)
+    )
+    for i in unmatched:
+        if not state.pool:
+            break
+        g = min(state.pool)
+        state.bundles[i].add(g)
+        state.pool.discard(g)
+        h_i, l_i = meta[i]
+        for j, gj in matched_this_round:
+            if instance.values[i][gj] == h_i:
+                duration = math.ceil(h_i / l_i) - 1
+                if state.freeze_counters[j] == 0 and duration > 0:
+                    state.frozen_events.append(j)
+                state.freeze_counters[j] = duration
+
+
+def envy_cycle_heuristic(instance: Instance) -> Allocation:
+    n, m = instance.n, instance.m
+    order = sorted(
+        range(m), key=lambda g: (min(-instance.values[i][g] for i in range(n)), g)
+    )
+    bundles: list[set[int]] = [set() for _ in range(n)]
+    worth = [[Fraction(0)] * n for _ in range(n)]
+
+    def envies(i: int, j: int) -> bool:
+        return worth[i][i] < worth[i][j]
+
+    def unenvied_agent() -> Optional[int]:
+        for j in range(n):
+            if not any(envies(i, j) for i in range(n) if i != j):
+                return j
+        return None
+
+    for g in order:
+        target = unenvied_agent()
+        while target is None:
+            path = [0]
+            pos = {0: 0}
+            while True:
+                cur = path[-1]
+                prev = next(i for i in range(n) if i != cur and envies(i, cur))
+                if prev in pos:
+                    cycle = [prev] + path[: pos[prev] : -1]
+                    break
+                pos[prev] = len(path)
+                path.append(prev)
+            rotated = [bundles[cycle[(t + 1) % len(cycle)]] for t in range(len(cycle))]
+            for t, agent in enumerate(cycle):
+                bundles[agent] = rotated[t]
+            for i in range(n):
+                new_worth = [worth[i][j] for j in range(n)]
+                for t, agent in enumerate(cycle):
+                    new_worth[agent] = worth[i][cycle[(t + 1) % len(cycle)]]
+                worth[i] = new_worth
+            target = unenvied_agent()
+        bundles[target].add(g)
+        for i in range(n):
+            worth[i][target] += instance.values[i][g]
+
+    return Allocation(tuple(frozenset(b) for b in bundles), complete=True)
+
+
+def scaled_rows(instance: Instance) -> np.ndarray:
+    """The exhaustive oracles' former per-call integer scaling."""
+    rows = []
+    for i in range(instance.n):
+        denlcm = 1
+        for v in instance.values[i]:
+            denlcm = denlcm * v.denominator // math.gcd(denlcm, v.denominator)
+        rows.append([int(v * denlcm) for v in instance.values[i]])
+    top = max((max(r) for r in rows), default=0)
+    if top and (top * instance.m) ** 2 >= 2**62:
+        return np.array(rows, dtype=object)
+    return np.array(rows, dtype=np.int64)
+
+
+def integer_nth_root(x: int, q: int) -> int:
+    """Float-seeded floor root; overflows beyond the float range."""
+    if q == 1 or x in (0, 1):
+        return x
+    r = int(round(x ** (1.0 / q)))
+    while r > 0 and r**q > x:
+        r -= 1
+    while (r + 1) ** q <= x:
+        r += 1
+    return r
+
+
+def nth_root_enclosure(t: Fraction, q: int, rel_width: Fraction) -> tuple[Fraction, Fraction]:
+    """Float-seeded enclosure; loops forever when float(t) is 0."""
+    if t == 0:
+        return Fraction(0), Fraction(0)
+    rn = integer_nth_root(t.numerator, q)
+    rd = integer_nth_root(t.denominator, q)
+    if rn**q == t.numerator and rd**q == t.denominator:
+        return Fraction(rn, rd), Fraction(rn, rd)
+    guess = Fraction(float(t) ** (1.0 / q))
+    pad = Fraction(1, 10**9)
+    lo = guess * (1 - pad)
+    hi = guess * (1 + pad)
+    while lo > 0 and lo**q > t:
+        lo *= 1 - pad
+    while hi**q < t:
+        hi *= 1 + pad
+    while hi - lo > hi * rel_width:
+        mid = (lo + hi) / 2
+        if mid**q <= t:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi

@@ -14,6 +14,7 @@ from efxlab import (
     exact_efx_bruteforce,
     fairness_report,
     match_and_freeze,
+    match_freeze_round,
     mfrr,
     prioritized_max_matching,
     round_robin,
@@ -107,7 +108,7 @@ def test_freeze_at_most_once_per_run():
             bundles=[set() for _ in range(n)],
         )
         while state.pool:
-            match_and_freeze(inst, state=state)
+            match_freeze_round(inst, list(range(n)), state)
         assert len(state.frozen_events) == len(set(state.frozen_events))
 
 

@@ -1,8 +1,11 @@
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import fraction_reference as ref
 from efxlab.enclosures import (
     DEFAULT_REL_WIDTH,
     integer_nth_root,
@@ -58,3 +61,56 @@ def test_enclosure_always_brackets(t, q):
 
 def test_exponent_reduction_consistent():
     assert pow_enclosure(7, 2, 4) == pow_enclosure(7, 1, 2)
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Fail the test instead of hanging when the body runs too long."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"took longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_integer_nth_root_beyond_float_range():
+    with time_limit(10):
+        r = integer_nth_root(10**400, 3)
+        assert r**3 <= 10**400 < (r + 1) ** 3
+        assert integer_nth_root(10**300, 2) == 10**150
+        assert integer_nth_root(2**1000 - 1, 10) == 2**100 - 1
+
+
+def test_pow_enclosure_beyond_float_range():
+    with time_limit(10):
+        lo, hi = pow_enclosure(10**400, 1, 3)
+    assert lo**3 <= 10**400 <= hi**3
+    assert (hi - lo) <= hi * DEFAULT_REL_WIDTH
+
+
+def test_root_enclosure_below_float_range():
+    t = Fraction(1, 10**400)
+    with time_limit(10):
+        lo, hi = nth_root_enclosure(t, 3)
+    assert 0 < lo and lo**3 <= t <= hi**3
+    assert (hi - lo) <= hi * DEFAULT_REL_WIDTH
+
+
+@settings(max_examples=200)
+@given(
+    st.fractions(min_value=Fraction(1, 10**6), max_value=10**6, max_denominator=10**6),
+    st.integers(min_value=1, max_value=7),
+)
+def test_float_range_endpoints_unchanged(t, q):
+    assert nth_root_enclosure(t, q) == ref.nth_root_enclosure(t, q, DEFAULT_REL_WIDTH)
+
+
+@given(st.integers(min_value=2**53, max_value=2**200), st.integers(min_value=4, max_value=8))
+def test_integer_root_above_exact_floats_unchanged(x, q):
+    assert integer_nth_root(x, q) == ref.integer_nth_root(x, q)

@@ -172,6 +172,30 @@ def test_cli_verify_rejects_overlap(tmp_path, capsys):
                  "--allocation", str(alloc_path)]) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize(
+    "bundles",
+    [[[0, 0], [1, 2, 3]], [[0, 1], [2, 3, 1]], [[True], [1, 2, 3]], [[0.0], [1, 2, 3]], [["0"], [1]]],
+    ids=["duplicate-in-bundle", "duplicate-across", "boolean", "float", "string"],
+)
+def test_cli_verify_rejects_malformed_goods(tmp_path, capsys, bundles):
+    inst_path = tmp_path / "inst.json"
+    main(["gen", "--kind", "uniform", "--n", "2", "--m", "4", "--out", str(inst_path)])
+    alloc_path = tmp_path / "alloc.json"
+    alloc_path.write_text(json.dumps({"bundles": bundles}))
+    capsys.readouterr()
+    assert main(["verify", "--instance", str(inst_path),
+                 "--allocation", str(alloc_path)]) == EXIT_VALIDATION
+
+
+def test_cli_adversary_query_needs_k_two(capsys):
+    code = main(["adversary", "--family", "query", "--n", "3", "--k", "1", "--t", "55",
+                 "--alg", "rrla", "--budget", "1"])
+    assert code == EXIT_VALIDATION
+    assert "k >= 2" in capsys.readouterr().err
+    # The family itself is still defined for k = 1.
+    assert generate_instance("query_lb", 3, k=1, t=55).m == 55
+
+
 def test_cli_adversary(capsys):
     code = main(["adversary", "--family", "ordinal", "--n", "2", "--m", "7",
                  "--alg", "round_robin"])
