@@ -45,7 +45,6 @@ from .fullinfo import (
     best_alpha_bruteforce,
     envy_cycle_heuristic,
     exact_efx_bruteforce,
-    measured_alpha,
 )
 from .bivalued import (
     MatchFreezeState,

@@ -11,9 +11,16 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
-from .core import Allocation, FairDivisionError, Instance, fairness_report, format_value
+from .core import (
+    Allocation,
+    DomainError,
+    FairDivisionError,
+    Instance,
+    fairness_report,
+    format_value,
+    parse_value,
+)
 from .fullinfo import best_alpha_bruteforce
 from .harness import (
     ALGORITHMS,
@@ -34,9 +41,23 @@ def _default_seed() -> int:
     return int(os.environ.get("EFX_LAB_SEED", "0"))
 
 
+def _read(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise FairDivisionError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def _read_json(path: str):
+    try:
+        return json.loads(_read(path))
+    except ValueError as exc:
+        raise DomainError(f"{path} is not JSON: {exc}") from None
+
+
 def _load_instance(path: str) -> Instance:
-    with open(path) as fh:
-        return Instance.loads(fh.read())
+    return Instance.loads(_read(path))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -118,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
                 instance,
                 args.alg,
                 k=args.k,
-                lam=Fraction(args.lam) if args.lam else None,
+                lam=parse_value(args.lam) if args.lam else None,
                 blackbox=args.blackbox,
                 budget=args.budget,
                 instance_id=os.path.basename(args.instance),
@@ -129,8 +150,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
 
         if args.command == "sweep":
-            with open(args.config) as fh:
-                config = json.load(fh)
+            config = _read_json(args.config)
             if args.out == "-":
                 sweep(config, sys.stdout)
             else:
@@ -165,8 +185,7 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "verify":
             instance = _load_instance(args.instance)
-            with open(args.allocation) as fh:
-                allocation = Allocation.from_json(json.load(fh), m=instance.m)
+            allocation = Allocation.from_json(_read_json(args.allocation), m=instance.m)
             report = fairness_report(instance, allocation)
             _emit(
                 {

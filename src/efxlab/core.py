@@ -42,7 +42,10 @@ class CompletenessError(InvalidAllocation):
 
 def parse_value(text: str | int) -> Value:
     """Parse "p/q", decimal, or integer text into an exact rational."""
-    v = Fraction(str(text))
+    try:
+        v = Fraction(str(text))
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"not a rational value: {text!r}") from None
     if v < 0:
         raise DomainError(f"negative value not allowed: {text}")
     return v
@@ -135,6 +138,8 @@ class Instance:
         meta = None
         if bivalued_meta is not None:
             meta = tuple((Fraction(h), Fraction(low)) for h, low in bivalued_meta)
+        if not values:
+            raise DomainError("need n >= 1 and m >= 1, got no rows")
         return Instance(len(values), len(values[0]), values, meta)
 
     def to_json(self) -> dict:
@@ -152,23 +157,32 @@ class Instance:
 
     @staticmethod
     def from_json(data: dict) -> "Instance":
-        values = tuple(
-            tuple(parse_value(v) for v in row) for row in data["values"]
-        )
-        meta = None
-        if data.get("bivalued") is not None:
-            meta = tuple(
-                (parse_value(e["h"]), parse_value(e["l"])) for e in data["bivalued"]
+        try:
+            values = tuple(
+                tuple(parse_value(v) for v in row) for row in data["values"]
             )
-        inst = Instance(int(data["n"]), int(data["m"]), values, meta)
-        return inst
+            meta = None
+            if data.get("bivalued") is not None:
+                meta = tuple(
+                    (parse_value(e["h"]), parse_value(e["l"])) for e in data["bivalued"]
+                )
+            n, m = int(data["n"]), int(data["m"])
+        except KeyError as exc:
+            raise DomainError(f"instance JSON lacks the key {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise DomainError(f"malformed instance JSON: {exc}") from None
+        return Instance(n, m, values, meta)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2)
 
     @staticmethod
     def loads(text: str) -> "Instance":
-        return Instance.from_json(json.loads(text))
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise DomainError(f"instance is not JSON: {exc}") from None
+        return Instance.from_json(data)
 
 
 @dataclass(frozen=True)

@@ -3,59 +3,29 @@
 The exhaustive search enumerates all n**m complete allocations (good j is
 the j-th base-n digit, good 0 most significant) with exact integer
 arithmetic on the instance's per-agent scaled integer rows, which leave
-every envy ratio unchanged.
+every envy ratio unchanged. The goods are split into a prefix (the high
+digits) and a suffix, and every block of consecutive assignments pairs
+prefixes with suffixes, so its bundle sums and minima are sums and minima
+of entries of two precomputed tables.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    Allocation,
-    FairDivisionError,
-    Instance,
-    Value,
-    fairness_report,
-)
+from .core import Allocation, FairDivisionError, Instance, Value
 
 ENUMERATION_GUARD = 10**8
-_CHUNK = 1 << 16
+# Most assignments in one block: the length of every per-block array.
+_BLOCK = 1 << 12
 
 
 class TooLarge(FairDivisionError):
     """Exhaustive enumeration would exceed the guard."""
-
-
-def assignment_chunks(n: int, m: int, chunk: int = _CHUNK) -> Iterator[np.ndarray]:
-    """Yield (rows, m) arrays of owner digits covering all n**m assignments in order."""
-    total = n**m
-    pows = np.array([n ** (m - 1 - j) for j in range(m)], dtype=np.int64)
-    start = 0
-    while start < total:
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        yield (idx[:, None] // pows) % n
-        start += chunk
-
-
-def _pair_tables(values: np.ndarray, digits: np.ndarray, n: int):
-    """Bundle sums and minima per (viewer, bundle) for a chunk of assignments."""
-    dtype = values.dtype
-    # Sentinel above any possible bundle sum; marks empty bundles in mins.
-    big = int(values.max()) * values.shape[1] + 1 if values.size else 1
-    if dtype == np.int64:
-        big = np.int64(big)
-    sums = np.empty((n, n, digits.shape[0]), dtype=dtype)
-    mins = np.empty((n, n, digits.shape[0]), dtype=dtype)
-    for j in range(n):
-        mask = digits == j
-        for i in range(n):
-            sums[i, j] = np.where(mask, values[i][None, :], 0).sum(axis=1)
-            mins[i, j] = np.where(mask, values[i][None, :], big).min(axis=1)
-    return sums, mins, big
 
 
 def _guard(instance: Instance) -> None:
@@ -65,71 +35,122 @@ def _guard(instance: Instance) -> None:
         )
 
 
-def _allocation_from_digits(digits: np.ndarray, n: int) -> Allocation:
+def _bundle_tables(
+    values: np.ndarray, goods: Sequence[int], n: int, big: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bundle sums and minima for every assignment of ``goods``, in enumeration order.
+
+    Entry ``[i, j, t]`` is viewer i's sum (and least value) over the goods
+    that assignment t gives to agent j, where t's base-n digits are the
+    owners of ``goods``, the first good most significant. An empty bundle
+    has sum 0 and minimum ``big``.
+    """
+    sums = np.zeros((n, n, 1), dtype=values.dtype)
+    mins = np.full((n, n, 1), big, dtype=values.dtype)
+    # gets[0, j, o, 0]: the good goes to agent j when its owner is o.
+    gets = np.eye(n, dtype=bool)[None, :, :, None]
+    for g in reversed(goods):
+        v = values[:, g, None, None, None]
+        # Good g becomes the most significant digit: new index = owner * len + old.
+        sums = (sums[:, :, None, :] + np.where(gets, v, 0)).reshape(n, n, -1)
+        mins = np.minimum(mins[:, :, None, :], np.where(gets, v, big)).reshape(n, n, -1)
+    return sums, mins
+
+
+def _envy_blocks(instance: Instance) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield ``(start, own, envy)`` for consecutive blocks of all n**m assignments.
+
+    For the assignments ``start, start + 1, ...`` of the block, ``own[i]`` is
+    v_i(X_i) and ``envy[i]`` the largest v_i(X_j) - min_{g in X_j} v_i(g)
+    over the other agents j, negative when every other bundle is empty.
+    Sums and minima are int64 when they fit, exact Python integers otherwise.
+    """
+    n, m = instance.n, instance.m
+    values = instance.scaled_values
+    top = int(values.max())
+    if top * m < 2**62:
+        values = values.astype(np.int64, copy=False)
+    # Sentinel above any possible bundle sum; marks empty bundles in mins.
+    big = top * m + 1
+    # Split the goods in half, so both tables are about sqrt(n**m) long.
+    width = (m + 1) // 2
+    pre_sums, pre_mins = _bundle_tables(values, range(m - width), n, big)
+    suf_sums, suf_mins = _bundle_tables(values, range(m - width, m), n, big)
+    suffixes = suf_sums.shape[2]
+    # A block is a range of prefixes times all suffixes, or one prefix times
+    # a range of suffixes; either way its assignments are consecutive.
+    step, rows = max(1, _BLOCK // suffixes), min(suffixes, _BLOCK)
+    for lo in range(0, pre_sums.shape[2], step):
+        pre = slice(lo, lo + step)
+        for first in range(0, suffixes, rows):
+            suf = slice(first, first + rows)
+            own, envy = [], []
+            for i in range(n):
+                sums = pre_sums[i, :, pre, None] + suf_sums[i, :, None, suf]
+                rivals = np.minimum(pre_mins[i, :, pre, None], suf_mins[i, :, None, suf])
+                np.subtract(sums, rivals, out=rivals)
+                rivals[i] = -big  # one's own bundle is no rival
+                own.append(sums[i].ravel())
+                envy.append(rivals.max(axis=0).ravel())
+            yield lo * suffixes + first, np.array(own), np.array(envy)
+
+
+def _allocation_at(index: int, n: int, m: int) -> Allocation:
     bundles: list[set[int]] = [set() for _ in range(n)]
-    for g, j in enumerate(digits.tolist()):
-        bundles[j].add(g)
+    for g in range(m - 1, -1, -1):
+        index, owner = divmod(index, n)
+        bundles[owner].add(g)
     return Allocation(tuple(frozenset(b) for b in bundles), complete=True)
 
 
 def exact_efx_bruteforce(instance: Instance) -> Optional[Allocation]:
     """First complete allocation in enumeration order that is exactly EFX, if any."""
     _guard(instance)
-    values = instance.scaled_values
-    n = instance.n
-    for digits in assignment_chunks(n, instance.m):
-        sums, mins, big = _pair_tables(values, digits, n)
-        ok = np.ones(digits.shape[0], dtype=bool)
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                nonempty = mins[i, j] < big
-                # v_i(X_i) >= v_i(X_j) - worst good; empty bundles never constrain.
-                ok &= ~nonempty | (sums[i, i] >= sums[i, j] - mins[i, j])
-        hits = np.flatnonzero(ok)
+    for start, own, envy in _envy_blocks(instance):
+        # v_i(X_i) >= v_i(X_j) - worst good for all j; empty bundles never constrain.
+        hits = np.flatnonzero((own >= envy).all(axis=0))
         if hits.size:
-            return _allocation_from_digits(digits[hits[0]], n)
+            return _allocation_at(start + int(hits[0]), instance.n, instance.m)
     return None
+
+
+def _ratio_keys(nums: np.ndarray, dens: np.ndarray, bits: int) -> np.ndarray:
+    """``floor(num * 2**(2*bits) / den)`` elementwise, for ``0 <= num <= den < 2**bits``.
+
+    Two different fractions with denominators below ``2**bits`` differ by
+    more than ``2**(-2*bits)``, so the keys order the ratios exactly and tie
+    only on equal ones. Up to ``bits = 31`` the key is an int64 long
+    division in two steps of ``bits`` bits; beyond, a Python integer.
+    """
+    if 2 * bits > 62:
+        return (nums.astype(object) << 2 * bits) // dens
+    high, rest = np.divmod(nums << bits, dens)
+    return (high << bits) + (rest << bits) // dens
 
 
 def best_alpha_bruteforce(instance: Instance) -> tuple[Value, Allocation]:
     """Maximum EFX factor over all complete allocations, with the first witness."""
     _guard(instance)
-    values = instance.scaled_values
-    n = instance.n
-    best_num, best_den = -1, 1  # below any real alpha, so the first assignment wins
-    best_digits: Optional[np.ndarray] = None
-    for digits in assignment_chunks(n, instance.m):
-        sums, mins, big = _pair_tables(values, digits, n)
-        # Per-assignment capped alpha as an integer ratio, starting at 1/1.
-        num = np.ones(digits.shape[0], dtype=values.dtype)
-        den = np.ones(digits.shape[0], dtype=values.dtype)
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                d = sums[i, j] - mins[i, j]
-                active = (mins[i, j] < big) & (d > 0)
-                smaller = active & (sums[i, i] * den < num * d)
-                num = np.where(smaller, sums[i, i], num)
-                den = np.where(smaller, d, den)
-        num = np.minimum(num, den)  # cap at 1
-        while True:
-            better = num * best_den > best_num * den
-            hits = np.flatnonzero(better)
-            if not hits.size:
-                break
-            first = hits[0]
-            best_num, best_den = int(num[first]), int(den[first])
-            best_digits = digits[first].copy()
-            if best_num >= best_den:
-                break
-        if best_num >= best_den and best_digits is not None:
-            # Alpha 1 cannot be beaten; keep the first witness.
-            break
-    assert best_digits is not None
-    return Fraction(best_num, best_den), _allocation_from_digits(best_digits, n)
+    n, m = instance.n, instance.m
+    bits = (int(instance.scaled_values.max()) * m).bit_length()
+    best_key, best, best_at = -1, Fraction(0), 0
+    for start, own, envy in _envy_blocks(instance):
+        efx = np.flatnonzero((own >= envy).all(axis=0))
+        if efx.size:
+            # Factor 1 cannot be beaten, and no earlier assignment reached it.
+            return Fraction(1), _allocation_at(start + int(efx[0]), n, m)
+        # Viewer i's factor is the least v_i(X_i) / envy_ij over j, capped at
+        # 1 (and below 1 for some viewer here). Those ratios share the
+        # numerator, so it is v_i(X_i) / envy_i when that is below 1.
+        envious = envy > own
+        nums = np.where(envious, own, 1)
+        dens = np.where(envious, envy, 1)
+        keys = _ratio_keys(nums, dens, bits).min(axis=0)
+        first = int(keys.argmax())  # argmax returns the first maximum
+        if keys[first] > best_key:
+            best_key, best_at = keys[first], start + first
+            best = min(Fraction(int(a), int(b)) for a, b in zip(nums[:, first], dens[:, first]))
+    return best, _allocation_at(best_at, n, m)
 
 
 def _common_scale(instance: Instance) -> np.ndarray:
@@ -217,7 +238,3 @@ def envy_cycle_heuristic(instance: Instance) -> Allocation:
 
     return Allocation(tuple(frozenset(b) for b in bundles), complete=True)
 
-
-def measured_alpha(instance: Instance, allocation: Allocation) -> Value:
-    """Convenience: exact EFX factor of an allocation under an instance."""
-    return fairness_report(instance, allocation).alpha_efx

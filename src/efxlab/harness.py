@@ -32,6 +32,7 @@ from .core import (
     build_ranking,
     fairness_report,
     format_value,
+    parse_value,
 )
 from .elicitation import QueryOracle
 from .enclosures import pow_enclosure, sqrt_enclosure
@@ -261,21 +262,31 @@ def sweep(config: dict, out: TextIO) -> None:
     """Run every configured job and write one CSV row per run.
 
     Jobs are independent; failures are recorded in the row's error column
-    and the sweep continues. Output row order follows the config.
+    and the sweep continues. A job whose fields do not parse gives one row
+    with the error. Output row order follows the config.
     """
+    if not isinstance(config, dict):
+        raise DomainError("a sweep config must be a JSON object")
     writer = csv.DictWriter(out, fieldnames=SWEEP_COLUMNS)
     writer.writeheader()
     row_id = 0
     for job in config.get("runs", []):
-        kind = job.get("kind", "uniform")
-        n = int(job["n"])
-        m = int(job["m"]) if "m" in job else None
-        k = int(job["k"]) if "k" in job else None
-        t = int(job["t"]) if "t" in job else None
-        lam = Fraction(str(job["lam"])) if "lam" in job else None
-        trials = int(job.get("trials", 1))
-        base_seed = int(job.get("seed", 0))
-        algorithm = job["algorithm"]
+        try:
+            kind = job.get("kind", "uniform")
+            n = int(job["n"])
+            m = int(job["m"]) if "m" in job else None
+            k = int(job["k"]) if "k" in job else None
+            t = int(job["t"]) if "t" in job else None
+            lam = parse_value(job["lam"]) if "lam" in job else None
+            budget = int(job["budget"]) if "budget" in job else None
+            trials = int(job.get("trials", 1))
+            base_seed = int(job.get("seed", 0))
+            algorithm = job["algorithm"]
+        except (AttributeError, KeyError, TypeError, ValueError, DomainError) as exc:
+            detail = f"job lacks {exc}" if isinstance(exc, KeyError) else str(exc)
+            writer.writerow({"row": row_id, "error": f"{type(exc).__name__}: {detail}"})
+            row_id += 1
+            continue
         for trial in range(trials):
             seed = base_seed + trial
             row = {
@@ -299,7 +310,7 @@ def sweep(config: dict, out: TextIO) -> None:
                     algorithm,
                     k=k,
                     lam=lam,
-                    budget=int(job["budget"]) if "budget" in job else None,
+                    budget=budget,
                     instance_id=f"{kind}-{seed}",
                 )
                 row.update(

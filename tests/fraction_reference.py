@@ -1,7 +1,7 @@
 """Reference copies of replaced implementations: the pure-``Fraction``
 ranking, fairness report, match-freeze rounds and envy-cycle heuristic, the
-exhaustive oracles' per-call row scaling, the recursive matching, and the
-float-seeded root enclosure. The differential tests run the library against
+exhaustive oracles' per-call row scaling and their chunked enumeration, the
+recursive matching, and the float-seeded root enclosure. The differential tests run the library against
 these and require identical outputs; nothing outside the tests imports this
 module.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -234,3 +234,97 @@ def nth_root_enclosure(t: Fraction, q: int, rel_width: Fraction) -> tuple[Fracti
         else:
             hi = mid
     return lo, hi
+
+
+# The exhaustive oracles as they were before the prefix x suffix tables:
+# every chunk of 65,536 assignments recomputes all (viewer, bundle) sums and
+# minima from its owner digits.
+_CHUNK = 1 << 16
+
+
+def assignment_chunks(n: int, m: int, chunk: int = _CHUNK) -> Iterator[np.ndarray]:
+    """Yield (rows, m) arrays of owner digits covering all n**m assignments in order."""
+    total = n**m
+    pows = np.array([n ** (m - 1 - j) for j in range(m)], dtype=np.int64)
+    start = 0
+    while start < total:
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        yield (idx[:, None] // pows) % n
+        start += chunk
+
+
+def _pair_tables(values: np.ndarray, digits: np.ndarray, n: int):
+    """Bundle sums and minima per (viewer, bundle) for a chunk of assignments."""
+    dtype = values.dtype
+    # Sentinel above any possible bundle sum; marks empty bundles in mins.
+    big = int(values.max()) * values.shape[1] + 1 if values.size else 1
+    if dtype == np.int64:
+        big = np.int64(big)
+    sums = np.empty((n, n, digits.shape[0]), dtype=dtype)
+    mins = np.empty((n, n, digits.shape[0]), dtype=dtype)
+    for j in range(n):
+        mask = digits == j
+        for i in range(n):
+            sums[i, j] = np.where(mask, values[i][None, :], 0).sum(axis=1)
+            mins[i, j] = np.where(mask, values[i][None, :], big).min(axis=1)
+    return sums, mins, big
+
+
+def _allocation_from_digits(digits: np.ndarray, n: int) -> Allocation:
+    bundles: list[set[int]] = [set() for _ in range(n)]
+    for g, j in enumerate(digits.tolist()):
+        bundles[j].add(g)
+    return Allocation(tuple(frozenset(b) for b in bundles), complete=True)
+
+
+def exact_efx_bruteforce(instance: Instance) -> Optional[Allocation]:
+    values = instance.scaled_values
+    n = instance.n
+    for digits in assignment_chunks(n, instance.m):
+        sums, mins, big = _pair_tables(values, digits, n)
+        ok = np.ones(digits.shape[0], dtype=bool)
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                nonempty = mins[i, j] < big
+                ok &= ~nonempty | (sums[i, i] >= sums[i, j] - mins[i, j])
+        hits = np.flatnonzero(ok)
+        if hits.size:
+            return _allocation_from_digits(digits[hits[0]], n)
+    return None
+
+
+def best_alpha_bruteforce(instance: Instance) -> tuple[Fraction, Allocation]:
+    values = instance.scaled_values
+    n = instance.n
+    best_num, best_den = -1, 1
+    best_digits: Optional[np.ndarray] = None
+    for digits in assignment_chunks(n, instance.m):
+        sums, mins, big = _pair_tables(values, digits, n)
+        num = np.ones(digits.shape[0], dtype=values.dtype)
+        den = np.ones(digits.shape[0], dtype=values.dtype)
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                d = sums[i, j] - mins[i, j]
+                active = (mins[i, j] < big) & (d > 0)
+                smaller = active & (sums[i, i] * den < num * d)
+                num = np.where(smaller, sums[i, i], num)
+                den = np.where(smaller, d, den)
+        num = np.minimum(num, den)
+        while True:
+            better = num * best_den > best_num * den
+            hits = np.flatnonzero(better)
+            if not hits.size:
+                break
+            first = hits[0]
+            best_num, best_den = int(num[first]), int(den[first])
+            best_digits = digits[first].copy()
+            if best_num >= best_den:
+                break
+        if best_num >= best_den and best_digits is not None:
+            break
+    assert best_digits is not None
+    return Fraction(best_num, best_den), _allocation_from_digits(best_digits, n)

@@ -141,6 +141,14 @@ def test_value_round_trip():
     assert format_value(Fraction(4)) == "4"
     with pytest.raises(DomainError):
         parse_value("-1")
+    for text in ("abc", "1/0", "", "1/2/3"):
+        with pytest.raises(DomainError):
+            parse_value(text)
+
+
+def test_from_rows_without_agents_is_a_domain_error():
+    with pytest.raises(DomainError):
+        Instance.from_rows([])
 
 
 def test_instance_json_round_trip():

@@ -212,3 +212,83 @@ def test_cli_sweep(tmp_path):
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     rows = list(csv.DictReader(out.open()))
     assert len(rows) == 1 and rows[0]["bound_ok"] == "True"
+
+
+def test_sweep_bad_row_is_recorded_and_sweep_continues():
+    config = {
+        "runs": [
+            {"kind": "uniform", "n": "two", "m": 6, "algorithm": "round_robin"},
+            {"kind": "uniform", "n": 2, "m": 6, "algorithm": "round_robin"},
+        ]
+    }
+    out = io.StringIO()
+    sweep(config, out)
+    rows = list(csv.DictReader(io.StringIO(out.getvalue())))
+    assert [r["row"] for r in rows] == ["0", "1"]
+    assert rows[0]["error"].startswith("ValueError") and "'two'" in rows[0]["error"]
+    assert rows[0]["alpha_efx"] == ""
+    assert rows[1]["error"] == "" and rows[1]["bound_ok"] == "True"
+
+
+@pytest.mark.parametrize(
+    "job,error",
+    [({"m": 6, "algorithm": "rrla"}, "KeyError: job lacks 'n'"),
+     ({"n": 2, "m": 6}, "KeyError: job lacks 'algorithm'"),
+     ({"n": 2, "m": [6], "algorithm": "rrla"}, "TypeError"),
+     ({"n": 2, "m": 6, "algorithm": "prr", "lam": "abc"}, "DomainError: not a rational value"),
+     ("not a job", "AttributeError")],
+    ids=["no-n", "no-algorithm", "list-m", "bad-lambda", "not-an-object"],
+)
+def test_sweep_malformed_jobs_give_error_rows(job, error):
+    out = io.StringIO()
+    sweep({"runs": [job, {"n": 2, "m": 4, "algorithm": "rrla"}]}, out)
+    bad, good = csv.DictReader(io.StringIO(out.getvalue()))
+    assert bad["error"].startswith(error)
+    assert good["error"] == ""
+
+
+def write_instance(tmp_path, text):
+    path = tmp_path / "inst.json"
+    path.write_text(text)
+    return str(path)
+
+
+def test_cli_run_rejects_bad_lambda(tmp_path, capsys):
+    path = str(tmp_path / "inst.json")
+    main(["gen", "--kind", "uniform", "--n", "2", "--m", "6", "--out", path])
+    for lam in ("abc", "1/0"):
+        assert main(["run", "--instance", path, "--alg", "prr", "--lambda", lam]) == EXIT_VALIDATION
+        assert "not a rational value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["not json", '{"m": 2, "values": [["1", "2"]]}', '{"n": 1, "values": [["1", "2"]]}',
+     '{"n": 1, "m": 2}', '[1, 2]', '{"n": 1, "m": 2, "values": 5}'],
+    ids=["non-json", "no-n", "no-m", "no-values", "not-an-object", "values-not-rows"],
+)
+def test_cli_malformed_instance_exits_2(tmp_path, capsys, text):
+    path = write_instance(tmp_path, text)
+    for argv in (["run", "--instance", path, "--alg", "rrla"], ["oracle", "--instance", path]):
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_missing_files_exit_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    good = str(tmp_path / "inst.json")
+    main(["gen", "--kind", "uniform", "--n", "2", "--m", "4", "--out", good])
+    capsys.readouterr()
+    for argv in (
+        ["run", "--instance", missing, "--alg", "rrla"],
+        ["verify", "--instance", good, "--allocation", missing],
+        ["sweep", "--config", missing],
+    ):
+        assert main(argv) == EXIT_VALIDATION
+        assert "cannot read" in capsys.readouterr().err
+
+
+def test_cli_gen_zero_agents_exits_2(capsys):
+    for kind in ("uniform", "bivalued"):
+        assert main(["gen", "--kind", kind, "--n", "0", "--m", "4"]) == EXIT_VALIDATION
+        assert "n >= 1" in capsys.readouterr().err
