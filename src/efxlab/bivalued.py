@@ -115,10 +115,11 @@ def _check_bivalued(instance: Instance, participants: Sequence[int]) -> None:
 def _high_goods(instance: Instance, agent: int, high: Value) -> list[int]:
     """The agent's goods worth ``high``, her high value, ascending."""
     row = instance.scaled_values[agent]
-    top = int(row.argmax())
-    if instance.values[agent][top] != high:
+    top = int(row[row.argmax()])
+    # The row's largest entry is worth ``high`` when it equals high on the row's scale.
+    if top * high.denominator != high.numerator * instance.scales[agent]:
         return []
-    return np.flatnonzero(row == row[top]).tolist()
+    return np.flatnonzero(row == top).tolist()
 
 
 def match_freeze_round(
@@ -260,20 +261,26 @@ def _uncovered_instance(
     """
     profile = oracle.ordinal_view()
     n, m = oracle.n, oracle.m
-    rows = []
-    meta = []
+    rows, scales, meta = [], [], []
     for i in range(n):
         info = transitions.get(i)
         if info is None:
-            rows.append([Fraction(0)] * m)
+            rows.append([0] * m)
+            scales.append(1)
             meta.append((Fraction(1), Fraction(0)))
             continue
-        row = [Fraction(0)] * m
-        for pos, g in enumerate(profile.rankings[i]):
-            row[g] = info.high if pos < info.transition_rank - 1 else info.low
+        # Both values occur (the drop is at rank 2..n <= m), so the row is in
+        # lowest terms on the least common multiple of their denominators.
+        scale = math.lcm(info.high.denominator, info.low.denominator)
+        high = info.high.numerator * (scale // info.high.denominator)
+        low = info.low.numerator * (scale // info.low.denominator)
+        row = [low] * m
+        for g in profile.rankings[i][: info.transition_rank - 1]:
+            row[g] = high
         rows.append(row)
+        scales.append(scale)
         meta.append((info.high, info.low))
-    return Instance(n, m, tuple(tuple(r) for r in rows), tuple(meta))
+    return Instance.from_scaled(rows, scales, meta)
 
 
 def mfrr(oracle: QueryOracle) -> Allocation:

@@ -1,17 +1,17 @@
 """Domain types, ranking construction and exact fairness metrics.
 
-Values are exact rationals (``fractions.Fraction``) at the boundary. Inside,
-each instance keeps one integer matrix in which every agent's row is scaled
-by the least common multiple of its denominators; rankings and envy ratios
-are unchanged by a positive per-agent scale, so every decision is exact and
-no floating point is involved.
+Values are exact rationals (``fractions.Fraction``) at the boundary. An
+instance stores only one integer matrix, in which every agent's row is scaled
+by the least common multiple of its denominators, and those scales; rankings
+and envy ratios are unchanged by a positive per-agent scale, so every
+decision is exact and no floating point is involved.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -57,15 +57,20 @@ def format_value(v: Value) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
-def _scale_rows(
-    values: Sequence[Sequence[Value]], m: int
-) -> tuple[np.ndarray, list[int]]:
-    """Each row times the least common multiple of its denominators, and
-    those multipliers.
+def _rational(v: object) -> Value:
+    """``Fraction(v)`` for an int, Fraction, float or rational text (a float
+    keeps its exact binary value); anything else is a :class:`DomainError`."""
+    try:
+        return Fraction(v)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError):
+        raise DomainError(f"not a rational value: {v!r}") from None
 
-    The matrix is int64 when cross-multiplied bundle sums provably fit, and
-    exact Python integers (object dtype) otherwise.
-    """
+
+def _scale_rows(
+    values: Sequence[Sequence[Value]],
+) -> tuple[list[list[int]], tuple[int, ...]]:
+    """Each row of rationals times the least common multiple of its
+    denominators, and those multipliers."""
     rows, scales = [], []
     for row in values:
         denominators = [v.denominator for v in row]
@@ -76,71 +81,164 @@ def _scale_rows(
             factor = {d: scale // d for d in set(denominators)}
             rows.append([v.numerator * factor[d] for v, d in zip(row, denominators)])
         scales.append(scale)
-    top = max(max(r) for r in rows)
+    return rows, tuple(scales)
+
+
+def _int_matrix(rows: list[list[int]], n: int, m: int) -> np.ndarray:
+    """Rows of Python ints as a read-only non-negative n x m matrix: int64
+    when cross-multiplied bundle sums provably fit, exact Python integers
+    (object dtype) otherwise."""
+    if n < 1 or m < 1:
+        raise DomainError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+    if len(rows) != n or any(len(row) != m for row in rows):
+        raise DomainError("values matrix must be n x m")
+    if min(map(min, rows)) < 0:
+        raise DomainError("values must be non-negative")
+    top = max(map(max, rows))
     overflows = top and (top * m) ** 2 >= 2**62
     matrix = np.array(rows, dtype=object if overflows else np.int64)
     matrix.flags.writeable = False
-    return matrix, scales
+    return matrix
 
 
-@dataclass(frozen=True)
 class Instance:
-    """An agents-by-goods matrix of exact non-negative values.
+    """An agents-by-goods matrix of exact non-negative values, stored as integers.
+
+    Row i of the read-only matrix ``scaled_values`` is agent i's values times
+    ``scales[i]``, the least common multiple of their denominators, so each
+    row is in lowest terms: gcd(scales[i], *row) == 1. Ratios of one agent's
+    values, and so her ranking and all her envy ratios, are those of the
+    rationals; values of different agents are on different scales and must
+    not be compared. ``values`` is the ``Fraction`` view, built on first use
+    for the boundary (JSON, messages, the adversarial families).
 
     ``bivalued_meta`` optionally records per-agent (high, low) value pairs;
     when present every entry of that agent's row must be one of the two.
 
-    ``scaled_values`` is the read-only integer form of ``values`` that every
-    ranking and envy comparison uses: row i is ``values[i]`` times the least
-    common multiple of its denominators. Ratios of one agent's values, and
-    so her ranking and all her envy ratios, are those of ``values``; values
-    of different agents are on different scales and must not be compared.
+    ``Instance(n, m, values, meta)``, :meth:`from_rows` and :meth:`from_json`
+    take rationals and convert them once; :meth:`from_scaled` takes the
+    integer form itself.
     """
 
-    n: int
-    m: int
-    values: tuple[tuple[Value, ...], ...]
-    bivalued_meta: Optional[tuple[tuple[Value, Value], ...]] = None
-    scaled_values: np.ndarray = field(init=False, repr=False, compare=False)
+    __slots__ = ("n", "m", "scaled_values", "scales", "bivalued_meta", "_values", "_ranking")
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.m < 1:
-            raise DomainError(f"need n >= 1 and m >= 1, got n={self.n}, m={self.m}")
-        if len(self.values) != self.n or any(len(row) != self.m for row in self.values):
-            raise DomainError("values matrix must be n x m")
-        scaled, scales = _scale_rows(self.values, self.m)
-        object.__setattr__(self, "scaled_values", scaled)
-        if scaled.min() < 0:
-            raise DomainError("values must be non-negative")
-        if self.bivalued_meta is not None:
-            if len(self.bivalued_meta) != self.n:
+    def __init__(
+        self,
+        n: int,
+        m: int,
+        values: Sequence[Sequence[Value]],
+        bivalued_meta: Optional[Sequence[tuple[Value, Value]]] = None,
+    ) -> None:
+        rows, scales = _scale_rows(values)
+        self._store(n, m, rows, scales, bivalued_meta)
+
+    @staticmethod
+    def from_scaled(
+        rows: Sequence[Sequence[int]],
+        scales: Sequence[int],
+        bivalued_meta: Optional[Sequence[tuple[Value, Value]]] = None,
+    ) -> "Instance":
+        """The instance whose agent i values good g at ``rows[i][g] / scales[i]``.
+
+        Entries and scales are Python ints, and every row must be in lowest
+        terms with its scale (gcd 1), the one integer form of its rationals.
+        """
+        rows = [list(row) for row in rows]
+        n, m = len(rows), len(rows[0]) if rows else 0
+        if len(scales) != n:
+            raise DomainError("need one scale per row")
+        for i, (scale, row) in enumerate(zip(scales, rows)):
+            if type(scale) is not int or scale < 1:
+                raise DomainError(f"row {i}: scale {scale!r} is not a positive integer")
+            if not set(map(type, row)) <= {int}:
+                raise DomainError(f"row {i}: scaled values must be Python ints")
+            if math.gcd(scale, *row) != 1:
+                raise DomainError(f"row {i} is not in lowest terms with its scale {scale}")
+        instance = Instance.__new__(Instance)
+        instance._store(n, m, rows, tuple(scales), bivalued_meta)
+        return instance
+
+    def _store(
+        self,
+        n: int,
+        m: int,
+        rows: list[list[int]],
+        scales: tuple[int, ...],
+        bivalued_meta: Optional[Sequence[tuple[Value, Value]]],
+    ) -> None:
+        matrix = _int_matrix(rows, n, m)
+        meta = None
+        if bivalued_meta is not None:
+            try:
+                meta = tuple((_rational(h), _rational(low)) for h, low in bivalued_meta)
+            except (TypeError, ValueError):
+                raise DomainError("bivalued_meta must hold (h, l) pairs") from None
+            if len(meta) != n:
                 raise DomainError("bivalued_meta must have one (h, l) pair per agent")
-            for i, (h, low) in enumerate(self.bivalued_meta):
+            for i, (h, low) in enumerate(meta):
                 if not h > low >= 0:
                     raise DomainError(f"agent {i}: need h > l >= 0")
                 # An entry equals h exactly when it equals h on the row's scale.
-                allowed = np.zeros(self.m, dtype=bool)
+                allowed = np.zeros(m, dtype=bool)
                 for v in (h * scales[i], low * scales[i]):
                     if v.denominator == 1:
-                        allowed |= scaled[i] == v.numerator
+                        allowed |= matrix[i] == v.numerator
                 if not allowed.all():
-                    v = next(v for v in self.values[i] if v != h and v != low)
-                    raise DomainError(
-                        f"agent {i}: value {v} is neither h={h} nor l={low}"
-                    )
+                    bad = Fraction(int(matrix[i][allowed.argmin()]), scales[i])
+                    raise DomainError(f"agent {i}: value {bad} is neither h={h} nor l={low}")
+        # The cached Fraction view and ranking start empty.
+        for name, value in zip(self.__slots__, (n, m, matrix, scales, meta, None, None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Instance is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return Instance.from_scaled, (self.scaled_values.tolist(), self.scales, self.bivalued_meta)
+
+    @property
+    def values(self) -> tuple[tuple[Value, ...], ...]:
+        """The values as ``Fraction``s, built once on first use."""
+        if self._values is None:
+            values = tuple(
+                tuple(Fraction(x, scale) for x in row)
+                for row, scale in zip(self.scaled_values.tolist(), self.scales)
+            )
+            object.__setattr__(self, "_values", values)
+        return self._values
+
+    def _key(self) -> tuple:
+        return (self.n, self.m, self.scales, self.bivalued_meta)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Instance):
+            return NotImplemented
+        return self is other or (
+            self._key() == other._key()
+            and np.array_equal(self.scaled_values, other.scaled_values)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self._key(), tuple(map(tuple, self.scaled_values.tolist()))))
+
+    def __repr__(self) -> str:
+        return (
+            f"Instance.from_scaled({self.scaled_values.tolist()!r}, "
+            f"{self.scales!r}, {self.bivalued_meta!r})"
+        )
 
     @staticmethod
     def from_rows(
-        rows: Sequence[Sequence[Value | int | str]],
+        rows: Sequence[Sequence[Value | int | float | str]],
         bivalued_meta: Optional[Sequence[tuple[Value, Value]]] = None,
     ) -> "Instance":
-        values = tuple(tuple(Fraction(v) for v in row) for row in rows)
-        meta = None
-        if bivalued_meta is not None:
-            meta = tuple((Fraction(h), Fraction(low)) for h, low in bivalued_meta)
-        if not values:
-            raise DomainError("need n >= 1 and m >= 1, got no rows")
-        return Instance(len(values), len(values[0]), values, meta)
+        """Rows of ints, ``Fraction``s, floats or rational text. Rows of plain
+        ints are already the integer form (scale 1) and are stored as they are."""
+        rows = [list(row) for row in rows]
+        if all(set(map(type, row)) <= {int} for row in rows):
+            return Instance.from_scaled(rows, (1,) * len(rows), bivalued_meta)
+        values = [[_rational(v) for v in row] for row in rows]
+        return Instance(len(values), len(values[0]), values, bivalued_meta)
 
     def to_json(self) -> dict:
         out: dict = {
@@ -222,9 +320,10 @@ class Allocation:
         return {"bundles": [sorted(b) for b in self.bundles]}
 
     @staticmethod
-    def from_json(data: dict, m: Optional[int] = None) -> "Allocation":
-        """Parse ``{"bundles": [[good, ...], ...]}``; goods are JSON integers
-        (booleans are not) and each appears at most once."""
+    def from_json(data: dict, m: int) -> "Allocation":
+        """Parse ``{"bundles": [[good, ...], ...]}`` for an instance with ``m``
+        goods; goods are JSON integers (booleans are not) and each appears at
+        most once. The allocation is complete when it covers all ``m`` goods."""
         raw = data.get("bundles") if isinstance(data, dict) else None
         if not isinstance(raw, list) or not all(isinstance(b, list) for b in raw):
             raise InvalidAllocation('expected {"bundles": [[good, ...], ...]}')
@@ -236,8 +335,7 @@ class Allocation:
                 if g in seen:
                     raise OverlapError(f"good {g} appears more than once")
                 seen.add(g)
-        complete = m is not None and len(seen) == m
-        return Allocation(tuple(frozenset(b) for b in raw), complete)
+        return Allocation(tuple(frozenset(b) for b in raw), len(seen) == m)
 
 
 @dataclass(frozen=True)
@@ -258,9 +356,18 @@ class FairnessReport:
 
 
 def build_ranking(instance: Instance) -> PreferenceProfile:
-    """Rank each agent's goods by value descending, ties by ascending index."""
-    order = np.argsort(-instance.scaled_values, axis=1, kind="stable")
-    return PreferenceProfile(tuple(map(tuple, order.tolist())))
+    """Rank each agent's goods by value descending, ties by ascending index.
+
+    The profile is built once per instance and then shared.
+    """
+    profile = instance._ranking
+    if profile is None:
+        order = np.argsort(-instance.scaled_values, axis=1, kind="stable")
+        # Rows of an argsort are permutations, so the profile's check is skipped.
+        profile = object.__new__(PreferenceProfile)
+        object.__setattr__(profile, "rankings", tuple(map(tuple, order.tolist())))
+        object.__setattr__(instance, "_ranking", profile)
+    return profile
 
 
 def validate(instance: Instance, allocation: Allocation) -> None:

@@ -9,6 +9,7 @@ no cost. An optional per-agent budget is enforced fail-fast.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .core import (
@@ -31,13 +32,6 @@ class Transcript:
     """Ordered record of answered queries."""
 
     entries: tuple[tuple[int, int, Value], ...]
-
-    @property
-    def per_agent_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for agent, _, _ in self.entries:
-            counts[agent] = counts.get(agent, 0) + 1
-        return counts
 
     def to_json(self) -> dict:
         return {
@@ -87,7 +81,8 @@ class QueryOracle:
             raise BudgetExceeded(
                 f"agent {agent} already used {self._counts[agent]} of {self._budget} queries"
             )
-        value = self._hidden.values[agent][good]
+        hidden = self._hidden
+        value = Fraction(int(hidden.scaled_values[agent, good]), hidden.scales[agent])
         self._answers[key] = value
         self._entries.append((agent, good, value))
         self._counts[agent] += 1

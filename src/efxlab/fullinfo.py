@@ -156,20 +156,15 @@ def best_alpha_bruteforce(instance: Instance) -> tuple[Value, Allocation]:
 def _common_scale(instance: Instance) -> np.ndarray:
     """The value matrix with every agent's row on one common integer scale.
 
-    ``scaled_values`` scales each row by its own factor, so values of
-    different agents can be compared only after bringing the rows to the
-    least common multiple of those factors.
+    ``scaled_values`` scales each row by its own factor ``scales[i]``, so
+    values of different agents can be compared only after bringing the rows
+    to the least common multiple of those factors.
     """
     scaled = instance.scaled_values
-    factors = []
-    for i, top in enumerate(scaled.argmax(axis=1).tolist()):
-        v = instance.values[i][top]
-        # Row i was multiplied by scaled/v; an all-zero row needs no factor.
-        factors.append(int(scaled[i, top]) * v.denominator // v.numerator if v else 1)
-    common = math.lcm(*factors)
+    common = math.lcm(*instance.scales)
     if common == 1:
         return scaled
-    multipliers = np.array([common // f for f in factors], dtype=object)
+    multipliers = np.array([common // s for s in instance.scales], dtype=object)
     return scaled.astype(object) * multipliers[:, None]
 
 

@@ -125,9 +125,7 @@ def generate_instance(
     if kind == "uniform":
         if m is None:
             raise DomainError("uniform generation needs m")
-        rows = [
-            [Fraction(rng.randint(0, max_value)) for _ in range(m)] for _ in range(n)
-        ]
+        rows = [[rng.randint(0, max_value) for _ in range(m)] for _ in range(n)]
         return Instance.from_rows(rows)
     if kind == "bivalued":
         if m is None:
@@ -137,8 +135,8 @@ def generate_instance(
         for _ in range(n):
             h = rng.randint(2, 9)
             low = rng.randint(1, h - 1)
-            rows.append([Fraction(h if rng.random() < 0.5 else low) for _ in range(m)])
-            meta.append((Fraction(h), Fraction(low)))
+            rows.append([h if rng.random() < 0.5 else low for _ in range(m)])
+            meta.append((h, low))
         return Instance.from_rows(rows, meta)
     if kind == "ordinal_lb":
         if m is None:

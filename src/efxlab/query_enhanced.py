@@ -4,6 +4,7 @@ black box, and the partition-then-round-robin singleton filter.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,25 +50,14 @@ class AgentVirtualValuation:
     thresholds: tuple[Value, ...]
     bucket_bounds: tuple[int, ...]
 
-    def virtual_row(self, ranking: Sequence[int], m: int) -> tuple[Value, ...]:
-        anchor = self.top_values[-1] if self.top_values else Fraction(0)
-        row = [Fraction(0)] * m
-        for pos, v in enumerate(self.top_values):
-            row[ranking[pos]] = v
-        start = len(self.top_values)
-        for level, bound in enumerate(self.bucket_bounds):
-            level_value = anchor * self.thresholds[level]
-            for pos in range(start, bound + 1):
-                row[ranking[pos]] = level_value
-            start = max(start, bound + 1)
-        return tuple(row)
 
-
+@functools.lru_cache(maxsize=256)
 def bucket_thresholds(m: int, k: int) -> tuple[Value, ...]:
     """Lower rational enclosures of m**(-level/(k+1)) for level 1..k.
 
     Using the lower endpoint both for the search predicate and for the
-    virtual values keeps every virtual value at most the true one.
+    virtual values keeps every virtual value at most the true one. The
+    tuple depends on (m, k) alone, so recent pairs are kept and shared.
     """
     return tuple(pow_enclosure(m, -level, k + 1)[0] for level in range(1, k + 1))
 
@@ -122,12 +112,36 @@ def bucketize(oracle: QueryOracle, agent: int, k: int) -> AgentVirtualValuation:
 def virtual_instance(
     oracle: QueryOracle, virtuals: Sequence[AgentVirtualValuation]
 ) -> Instance:
+    """The proxy instance: along each agent's ranking, her queried top values,
+    then each bucket at its level's fraction of the anchor (her last top
+    value), then zeros.
+
+    A row takes at most n-1+k values besides 0, so it is put on the least
+    common multiple of their denominators directly.
+    """
     profile = oracle.ordinal_view()
-    rows = tuple(
-        virtuals[i].virtual_row(profile.rankings[i], oracle.m)
-        for i in range(oracle.n)
-    )
-    return Instance(oracle.n, oracle.m, rows)
+    m = oracle.m
+    rows, scales = [], []
+    for vv, ranking in zip(virtuals, profile.rankings, strict=True):
+        anchor = vv.top_values[-1] if vv.top_values else Fraction(0)
+        # (value, count) runs along the ranking, best first.
+        runs = [(v, 1) for v in vv.top_values]
+        start = len(vv.top_values)
+        for level, bound in enumerate(vv.bucket_bounds):
+            if bound >= start:
+                runs.append((anchor * vv.thresholds[level], bound + 1 - start))
+                start = bound + 1
+        scale = math.lcm(*(v.denominator for v, _ in runs))
+        by_rank: list[int] = []
+        for v, count in runs:
+            by_rank += [v.numerator * (scale // v.denominator)] * count
+        by_rank += [0] * (m - start)
+        row = [0] * m
+        for g, x in zip(ranking, by_rank):
+            row[g] = x
+        rows.append(row)
+        scales.append(scale)
+    return Instance.from_scaled(rows, scales)
 
 
 def virtual_efx(

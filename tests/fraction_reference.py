@@ -1,7 +1,8 @@
 """Reference copies of replaced implementations: the pure-``Fraction``
 ranking, fairness report, match-freeze rounds and envy-cycle heuristic, the
 exhaustive oracles' per-call row scaling and their chunked enumeration, the
-recursive matching, and the float-seeded root enclosure. The differential tests run the library against
+``Fraction``-row builds of the ``virtual_efx`` proxy and mfrr's uncovered
+instance, the recursive matching, and the float-seeded root enclosure. The differential tests run the library against
 these and require identical outputs; nothing outside the tests imports this
 module.
 """
@@ -197,6 +198,50 @@ def scaled_rows(instance: Instance) -> np.ndarray:
     if top and (top * instance.m) ** 2 >= 2**62:
         return np.array(rows, dtype=object)
     return np.array(rows, dtype=np.int64)
+
+
+def virtual_row(vv, ranking: Sequence[int], m: int) -> tuple[Fraction, ...]:
+    """The former ``AgentVirtualValuation.virtual_row``: one agent's proxy row."""
+    anchor = vv.top_values[-1] if vv.top_values else Fraction(0)
+    row = [Fraction(0)] * m
+    for pos, v in enumerate(vv.top_values):
+        row[ranking[pos]] = v
+    start = len(vv.top_values)
+    for level, bound in enumerate(vv.bucket_bounds):
+        level_value = anchor * vv.thresholds[level]
+        for pos in range(start, bound + 1):
+            row[ranking[pos]] = level_value
+        start = max(start, bound + 1)
+    return tuple(row)
+
+
+def virtual_instance(oracle, virtuals) -> Instance:
+    """The former ``Fraction``-row build of the ``virtual_efx`` proxy."""
+    profile = oracle.ordinal_view()
+    rows = tuple(
+        virtual_row(virtuals[i], profile.rankings[i], oracle.m) for i in range(oracle.n)
+    )
+    return Instance(oracle.n, oracle.m, rows)
+
+
+def uncovered_instance(oracle, transitions) -> Instance:
+    """The former ``Fraction``-row build of mfrr's uncovered instance."""
+    profile = oracle.ordinal_view()
+    n, m = oracle.n, oracle.m
+    rows = []
+    meta = []
+    for i in range(n):
+        info = transitions.get(i)
+        if info is None:
+            rows.append([Fraction(0)] * m)
+            meta.append((Fraction(1), Fraction(0)))
+            continue
+        row = [Fraction(0)] * m
+        for pos, g in enumerate(profile.rankings[i]):
+            row[g] = info.high if pos < info.transition_rank - 1 else info.low
+        rows.append(row)
+        meta.append((info.high, info.low))
+    return Instance(n, m, tuple(tuple(r) for r in rows), tuple(meta))
 
 
 def integer_nth_root(x: int, q: int) -> int:

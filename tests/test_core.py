@@ -1,4 +1,5 @@
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from efxlab import (
     DomainError,
     Instance,
     OverlapError,
+    PreferenceProfile,
     build_ranking,
     fairness_report,
     format_value,
@@ -36,6 +38,19 @@ def test_ranking_strict_reversal():
 
 def test_ranking_all_ties():
     assert build_ranking(inst([[0, 0, 0]])).rankings[0] == (0, 1, 2)
+
+
+def test_ranking_built_once_per_instance():
+    instance = inst([[1, 3, 2], [2, 2, 2]])
+    assert build_ranking(instance) is build_ranking(instance)
+    # An equal instance built apart ranks the same goods the same way.
+    assert build_ranking(inst([[1, 3, 2], [2, 2, 2]])) == build_ranking(instance)
+
+
+def test_user_built_profile_is_still_checked():
+    for rankings in (((0, 0),), ((0, 1), (1,)), ((0, 2),)):
+        with pytest.raises(DomainError):
+            PreferenceProfile(rankings)
 
 
 # ---- EFX / EF1 metric -------------------------------------------------
@@ -151,6 +166,87 @@ def test_from_rows_without_agents_is_a_domain_error():
         Instance.from_rows([])
 
 
+@pytest.mark.parametrize(
+    "rows, meta",
+    [
+        ([["x"]], None),
+        ([[None]], None),
+        ([["1/0"]], None),
+        ([[float("nan")]], None),
+        ([[float("inf")]], None),
+        ([[1, 2]], [("high", 1)]),
+        ([[1, 2]], [(2, None)]),
+        ([[1, 2]], [(2,)]),
+        ([[1, 2]], [2]),
+    ],
+)
+def test_from_rows_unparsable_entries_are_domain_errors(rows, meta):
+    with pytest.raises(DomainError):
+        Instance.from_rows(rows, meta)
+
+
+def test_from_rows_keeps_floats_exact():
+    instance = Instance.from_rows([[0.1, "1/3", 2]])
+    assert instance.values[0] == (Fraction(0.1), Fraction(1, 3), Fraction(2))
+    assert instance.values[0][0] != Fraction(1, 10)
+
+
+def test_from_rows_int_rows_are_stored_as_given():
+    instance = Instance.from_rows([[3, 0, 7], [1, 1, 2]])
+    assert instance.scales == (1, 1)
+    assert instance.scaled_values.tolist() == [[3, 0, 7], [1, 1, 2]]
+    assert instance == Instance.from_rows([[Fraction(3), 0, "7"], [1, 1.0, 2]])
+
+
+@pytest.mark.parametrize(
+    "rows, scales",
+    [
+        ([[1, 2]], (1, 1)),  # one scale per row
+        ([[1, 2], [3]], (1, 1)),  # ragged
+        ([[1, -2]], (1,)),  # negative
+        ([[1, 2.0]], (1,)),  # not an int
+        ([[1, True]], (1,)),
+        ([[1, 2]], (0,)),  # scale not positive
+        ([[1, 2]], (2.0,)),
+        ([[2, 4]], (2,)),  # not in lowest terms
+        ([[0, 0]], (3,)),
+        ([[]], (1,)),
+    ],
+)
+def test_from_scaled_validates_on_integers(rows, scales):
+    with pytest.raises(DomainError):
+        Instance.from_scaled(rows, scales)
+
+
+def test_from_scaled_checks_bivalued_membership():
+    # 3/2 and 1/2 on scale 2: entries must be 3 or 1.
+    meta = [(Fraction(3, 2), Fraction(1, 2))]
+    assert Instance.from_scaled([[3, 1, 3]], (2,), meta).values[0][1] == Fraction(1, 2)
+    with pytest.raises(DomainError, match="value 1 is neither"):
+        Instance.from_scaled([[3, 2, 1]], (2,), meta)
+
+
+def test_equality_compares_the_rationals():
+    half_and_one = Instance.from_scaled([[1, 2]], (2,))
+    assert half_and_one == inst([[Fraction(1, 2), 1]])
+    assert half_and_one != Instance.from_scaled([[1, 2]], (1,))  # same matrix
+    assert half_and_one != Instance.from_scaled([[1, 2]], (3,))
+    assert half_and_one != Instance.from_scaled([[1, 4]], (2,))  # same scale
+    assert half_and_one != inst([[Fraction(1, 2), 1]], [(1, Fraction(1, 2))])
+    assert len({half_and_one, inst([[Fraction(1, 2), 1]]), inst([[1, 2]])}) == 2
+
+
+def test_instance_is_immutable_and_round_trips():
+    instance = inst([[1, Fraction(1, 2)], [3, 1]], [(Fraction(1), Fraction(1, 2)), (3, 1)])
+    with pytest.raises(AttributeError):
+        instance.n = 3
+    with pytest.raises(ValueError):
+        instance.scaled_values[0, 0] = 5
+    assert eval(repr(instance), {"Instance": Instance, "Fraction": Fraction}) == instance
+    assert pickle.loads(pickle.dumps(instance)) == instance
+    assert hash(pickle.loads(pickle.dumps(instance))) == hash(instance)
+
+
 def test_instance_json_round_trip():
     i = inst([[1, Fraction(1, 2)], [3, 1]], [(Fraction(1), Fraction(1, 2)), (Fraction(3), Fraction(1))])
     assert Instance.loads(i.dumps()) == i
@@ -160,6 +256,20 @@ def test_allocation_json_round_trip():
     a = Allocation.from_bundles([[0, 2], [1]])
     data = json.loads(json.dumps(a.to_json()))
     assert Allocation.from_json(data, m=3) == a
+
+
+def test_allocation_json_completeness_comes_from_m():
+    instance = inst([[1, 2], [2, 1]])
+    full = Allocation.from_json({"bundles": [[0], [1]]}, 2)
+    assert full.complete
+    assert fairness_report(instance, full) == fairness_report(
+        instance, Allocation.from_bundles([[0], [1]])
+    )
+    partial = Allocation.from_json({"bundles": [[0], []]}, 2)
+    assert not partial.complete
+    assert fairness_report(instance, partial).alpha_efx == 1
+    with pytest.raises(TypeError):
+        Allocation.from_json({"bundles": [[0], [1]]})  # m is required
 
 
 def test_trivial_few_goods():

@@ -68,7 +68,7 @@ def test_transcript_json_round_trip():
     o.query(1, 0)
     t = o.transcript()
     assert Transcript.from_json(t.to_json()) == t
-    assert t.per_agent_counts == {0: 1, 1: 1}
+    assert o.snapshot_counts() == {0: 1, 1: 1}
 
 
 def test_index_bounds_checked():
@@ -97,27 +97,30 @@ def test_dedup_idempotence_any_order(pairs):
     assert sorted(o1.transcript().entries) == sorted(o2.transcript().entries)
 
 
+# Every attribute through which an instance gives away its values.
+HIDDEN_VALUE_ATTRIBUTES = ("values", "scaled_values", "scales")
+
+
+class _WatchedInstance:
+    """Stands in for the hidden instance and logs each read of a value attribute."""
+
+    def __init__(self, instance, accesses):
+        self._instance = instance
+        self._accesses = accesses
+
+    def __getattr__(self, name):
+        if name in HIDDEN_VALUE_ATTRIBUTES:
+            self._accesses.append(name)
+        return getattr(self._instance, name)
+
+
 class _SpyOracle(QueryOracle):
-    """Oracle whose hidden matrix rows log every direct element access."""
+    """Oracle whose hidden instance logs every read of its values."""
 
     def __init__(self, instance):
         super().__init__(instance)
-        accesses = []
-        self.accesses = accesses
-        real = self._hidden
-
-        class LoggingRow(tuple):
-            def __getitem__(row_self, idx):
-                accesses.append(idx)
-                return tuple.__getitem__(row_self, idx)
-
-        spied = Instance(
-            real.n,
-            real.m,
-            tuple(LoggingRow(r) for r in real.values),
-            real.bivalued_meta,
-        )
-        self._hidden = spied
+        self.accesses = []
+        self._hidden = _WatchedInstance(self._hidden, self.accesses)
 
     def query(self, agent, good):
         before = len(self.accesses)
@@ -125,6 +128,24 @@ class _SpyOracle(QueryOracle):
         # Forget accesses made through the sanctioned path.
         del self.accesses[before:]
         return value
+
+
+def _spy_rows():
+    rows = [
+        [5, 5, 1, 1, 1, 1, 1, 1],
+        [5, 1, 5, 1, 1, 1, 1, 1],
+        [5, 1, 1, 5, 1, 1, 1, 1],
+    ]
+    return Instance.from_rows(rows, [(Fraction(5), Fraction(1))] * 3)
+
+
+@pytest.mark.parametrize("attribute", HIDDEN_VALUE_ATTRIBUTES)
+def test_spy_sees_reads_outside_query(attribute):
+    oracle = _SpyOracle(_spy_rows())
+    assert oracle.query(0, 1) == 5
+    assert oracle.accesses == []
+    getattr(oracle._hidden, attribute)
+    assert oracle.accesses == [attribute]
 
 
 @pytest.mark.parametrize(
@@ -140,12 +161,6 @@ class _SpyOracle(QueryOracle):
     ids=["round_robin", "rrla", "virtual_efx", "prr", "mfrr", "two_query"],
 )
 def test_algorithms_never_touch_hidden_values_directly(run):
-    rows = [
-        [5, 5, 1, 1, 1, 1, 1, 1],
-        [5, 1, 5, 1, 1, 1, 1, 1],
-        [5, 1, 1, 5, 1, 1, 1, 1],
-    ]
-    meta = [(Fraction(5), Fraction(1))] * 3
-    oracle = _SpyOracle(Instance.from_rows(rows, meta))
+    oracle = _SpyOracle(_spy_rows())
     run(oracle)
     assert oracle.accesses == []

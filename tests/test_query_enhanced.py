@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import fraction_reference as ref
 from efxlab import (
     DomainError,
     Instance,
@@ -44,7 +45,7 @@ def test_bucketize_worked_example():
     vv = bucketize(o, 0, k=1)
     assert vv.top_values == (Fraction(8),)
     assert vv.bucket_bounds == (1,)
-    row = vv.virtual_row(o.ordinal_view().rankings[0], o.m)
+    row = ref.virtual_row(vv, o.ordinal_view().rankings[0], o.m)
     assert row == (Fraction(8), Fraction(4), Fraction(0), Fraction(0))
 
 
@@ -54,7 +55,7 @@ def test_bucketize_zero_anchor_skips_searches():
     vv = bucketize(o, 0, k=3)
     # Only the top n-1 = 2 queries; no binary searches spent.
     assert o.snapshot_counts()[0] == 2
-    row = vv.virtual_row(o.ordinal_view().rankings[0], o.m)
+    row = ref.virtual_row(vv, o.ordinal_view().rankings[0], o.m)
     assert row == (Fraction(5), Fraction(0), Fraction(0), Fraction(0))
 
 
@@ -75,7 +76,7 @@ def test_virtual_dominance_and_bucket_membership():
         o = QueryOracle(inst)
         vv = bucketize(o, 0, k)
         ranking = o.ordinal_view().rankings[0]
-        row = vv.virtual_row(ranking, m)
+        row = ref.virtual_row(vv, ranking, m)
         anchor = vv.top_values[-1]
         thresholds = vv.thresholds
         for pos, g in enumerate(ranking):
@@ -91,6 +92,17 @@ def test_virtual_dominance_and_bucket_membership():
                         if level > 0:
                             assert true < anchor * thresholds[level - 1]
                     prev_bound = max(prev_bound, bound)
+
+
+def test_bucket_thresholds_are_lower_enclosures_computed_once():
+    for m, k in ((7, 1), (100, 2), (2000, 3)):
+        thresholds = bucket_thresholds(m, k)
+        assert bucket_thresholds(m, k) is thresholds
+        assert len(thresholds) == k
+        for level, t in enumerate(thresholds, start=1):
+            # t <= m**(-level/(k+1)) exactly, and within 1e-9 of it.
+            assert t ** (k + 1) * m**level <= 1
+            assert (t * (1 + Fraction(1, 10**9))) ** (k + 1) * m**level > 1
 
 
 def test_bucketize_query_ceiling():

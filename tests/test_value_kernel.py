@@ -1,9 +1,12 @@
 """Differential tests of the integer value kernel against the pure-Fraction
-reference in ``fraction_reference``: rankings, fairness reports, every
-algorithm's run record, match-freeze rounds and the matching itself must be
-identical, on both the int64 and the object-dtype paths."""
+reference in ``fraction_reference``: the stored integer form of an instance,
+query answers, the algorithms' proxy instances, rankings, fairness reports,
+every algorithm's run record, match-freeze rounds and the matching itself
+must be identical, on both the int64 and the object-dtype paths."""
 
 import dataclasses
+import math
+import pickle
 import random
 import sys
 from contextlib import ExitStack
@@ -17,13 +20,18 @@ from hypothesis import given, settings, strategies as st
 import fraction_reference as ref
 from efxlab import (
     Allocation,
+    DomainError,
     FairDivisionError,
     Instance,
+    QueryOracle,
+    bucketize,
     build_ranking,
+    discover_transition,
     envy_cycle_heuristic,
     fairness_report,
     match_freeze_round,
     prioritized_max_matching,
+    virtual_instance,
 )
 from efxlab import bivalued, elicitation, harness, query_enhanced
 from efxlab.bivalued import MatchFreezeState
@@ -40,9 +48,10 @@ def values(draw, big: bool):
 
 
 @st.composite
-def instances(draw, bivalued_meta: bool = False):
+def rational_rows(draw, bivalued_meta: bool = False, m_at_least_n: bool = False):
+    """Rows of Fractions (and their (h, l) pairs, or None), n <= 4, m <= 10."""
     n = draw(st.integers(1, 4))
-    m = draw(st.integers(1, 10))
+    m = draw(st.integers(n if m_at_least_n else 1, 10))
     big = draw(st.booleans())
     rows, meta = [], []
     for _ in range(n):
@@ -56,7 +65,86 @@ def instances(draw, bivalued_meta: bool = False):
             meta.append((high, low))
         else:
             rows.append([draw(values(big)) for _ in range(m)])
-    return Instance.from_rows(rows, meta if bivalued_meta else None)
+    return rows, meta if bivalued_meta else None
+
+
+@st.composite
+def instances(draw, bivalued_meta: bool = False, m_at_least_n: bool = False):
+    return Instance.from_rows(*draw(rational_rows(bivalued_meta, m_at_least_n)))
+
+
+def integer_form(rows):
+    """Each row times the LCM of its denominators, by Fraction arithmetic."""
+    scales = [math.lcm(*(v.denominator for v in row)) for row in rows]
+    return [[int(v * s) for v in row] for row, s in zip(rows, scales)], scales
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans(), st.data())
+def test_from_scaled_equals_from_rows(bivalued_meta, data):
+    rows, meta = data.draw(rational_rows(bivalued_meta))
+    by_rows = Instance.from_rows(rows, meta)
+    by_scaled = Instance.from_scaled(*integer_form(rows), meta)
+    assert by_scaled == by_rows
+    assert hash(by_scaled) == hash(by_rows)
+    assert np.array_equal(by_scaled.scaled_values, by_rows.scaled_values)
+    assert by_scaled.scaled_values.dtype == by_rows.scaled_values.dtype
+    assert by_scaled.scaled_values.dtype == ref.scaled_rows(by_rows).dtype
+    assert by_scaled.scales == by_rows.scales == tuple(integer_form(rows)[1])
+    assert by_scaled.values == by_rows.values == tuple(map(tuple, rows))
+    assert all(type(v) is Fraction for row in by_scaled.values for v in row)
+    assert pickle.loads(pickle.dumps(by_scaled)) == by_rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_rows(), st.integers(0, 3), st.integers(2, 12))
+def test_from_scaled_rejects_rows_not_in_lowest_terms(drawn, agent, factor):
+    rows, scales = integer_form(drawn[0])
+    agent %= len(rows)
+    rows[agent] = [x * factor for x in rows[agent]]
+    scales[agent] *= factor
+    with pytest.raises(DomainError):
+        Instance.from_scaled(rows, scales)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.booleans(), st.data())
+def test_query_answers_equal_the_rationals(bivalued_meta, data):
+    rows, meta = data.draw(rational_rows(bivalued_meta))
+    oracle = QueryOracle(Instance.from_rows(rows, meta))
+    for i, row in enumerate(rows):
+        for g, v in enumerate(row):
+            answer = oracle.query(i, g)
+            assert answer == v and type(answer) is Fraction
+    assert [v for _, _, v in oracle.transcript().entries] == [v for row in rows for v in row]
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances(m_at_least_n=True), st.integers(1, 3))
+def test_virtual_instance_matches_fraction_rows(instance, k):
+    oracle = QueryOracle(instance)
+    virtuals = [bucketize(oracle, i, k) for i in range(instance.n)]
+    proxy = virtual_instance(oracle, virtuals)
+    expected = ref.virtual_instance(oracle, virtuals)
+    assert proxy == expected
+    assert proxy.scales == expected.scales
+    assert proxy.scaled_values.dtype == expected.scaled_values.dtype
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances(bivalued_meta=True, m_at_least_n=True))
+def test_uncovered_instance_matches_fraction_rows(instance):
+    oracle = QueryOracle(instance)
+    transitions = {}
+    for i in range(instance.n):
+        info = discover_transition(oracle, i)
+        if info is not None:
+            transitions[i] = info
+    uncovered = bivalued._uncovered_instance(oracle, transitions)
+    expected = ref.uncovered_instance(oracle, transitions)
+    assert uncovered == expected
+    assert uncovered.scales == expected.scales
+    assert uncovered.scaled_values.dtype == expected.scaled_values.dtype
 
 
 @st.composite
