@@ -14,8 +14,6 @@ from .core import (
     OverlapError,
     PreferenceProfile,
     Value,
-    alpha_ef1,
-    alpha_efx,
     build_ranking,
     fairness_report,
     format_value,

@@ -9,6 +9,7 @@ achieved EFX factor as small as the construction allows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -44,10 +45,9 @@ class OrdinalLBFamily:
 def ordinal_lb_build(n: int, m: int) -> OrdinalLBFamily:
     if m <= n + 2:
         raise DomainError("family requires m > n + 2")
-    one, zero = Fraction(1), Fraction(0)
-    case1_row = tuple(one if g < n - 1 else zero for g in range(m))
-    case1 = Instance(n, m, tuple(case1_row for _ in range(n)))
-    case2 = Instance(n, m, tuple(tuple(one for _ in range(m)) for _ in range(n)))
+    case1_row = [1] * (n - 1) + [0] * (m - n + 1)
+    case1 = Instance.from_scaled([case1_row] * n, (1,) * n)
+    case2 = Instance.from_scaled([[1] * m] * n, (1,) * n)
     return OrdinalLBFamily(n, m, case1, case2)
 
 
@@ -117,12 +117,13 @@ def query_lb_build(n: int, k: int, t: int) -> QueryLBFamily:
     if 4 * block < m:
         raise DomainError("trailing zero block must hold at least a quarter of the goods")
     sqrt_lo, sqrt_hi = sqrt_enclosure(k)
-    row: list[Value] = []
-    row.extend([sqrt_lo] * (n - 1))
+    # One row for every agent, on the scale of its deepest segment and sqrt_lo.
+    scale = math.lcm(sqrt_lo.denominator, t ** (2 * len(sizes)))
+    row = [sqrt_lo.numerator * (scale // sqrt_lo.denominator)] * (n - 1)
     for level, size in enumerate(sizes, start=1):
-        row.extend([Fraction(1, t ** (2 * level))] * size)
-    row.extend([Fraction(0)] * block)
-    revealed = Instance(n, m, tuple(tuple(row) for _ in range(n)))
+        row += [scale // t ** (2 * level)] * size
+    row += [0] * block
+    revealed = Instance.from_scaled([row] * n, (scale,) * n)
     return QueryLBFamily(
         n=n,
         k=k,

@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 validation or domain error, 3 guarantee violation
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -60,7 +61,10 @@ def _load_instance(path: str) -> Instance:
     return Instance.loads(_read(path))
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later
+    one in the process; parsing reads it and never changes it."""
     parser = argparse.ArgumentParser(
         prog="efxlab",
         description="Fair-division experiments under ordinal preferences "
@@ -123,7 +127,7 @@ def _emit(data: dict, path: str = "-") -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "gen":
             seed = args.seed if args.seed is not None else _default_seed()

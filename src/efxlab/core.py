@@ -9,6 +9,7 @@ decision is exact and no floating point is involved.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -66,22 +67,36 @@ def _rational(v: object) -> Value:
         raise DomainError(f"not a rational value: {v!r}") from None
 
 
-def _scale_rows(
-    values: Sequence[Sequence[Value]],
-) -> tuple[list[list[int]], tuple[int, ...]]:
-    """Each row of rationals times the least common multiple of its
-    denominators, and those multipliers."""
-    rows, scales = [], []
-    for row in values:
-        denominators = [v.denominator for v in row]
-        scale = math.lcm(*denominators)
-        if scale == 1:
-            rows.append([v.numerator for v in row])
-        else:
-            factor = {d: scale // d for d in set(denominators)}
-            rows.append([v.numerator * factor[d] for v, d in zip(row, denominators)])
-        scales.append(scale)
-    return rows, tuple(scales)
+def _scale_row(row: Sequence[Value]) -> tuple[list[int], int]:
+    """A row of rationals times the least common multiple of its
+    denominators, and that multiplier."""
+    denominators = [v.denominator for v in row]
+    scale = math.lcm(*denominators)
+    if scale == 1:
+        return [v.numerator for v in row], 1
+    factor = {d: scale // d for d in set(denominators)}
+    return [v.numerator * factor[d] for v, d in zip(row, denominators)], scale
+
+
+def _parse_row(row: Sequence[object]) -> tuple[list[int], int]:
+    """One JSON row of values in the integer form: a list of plain decimal
+    integer text is read straight into ints (scale 1); any other row goes
+    through :func:`parse_value` and :func:`_scale_row`."""
+    if type(row) is list:
+        try:
+            if "".join(row).isascii() and all(map(str.isdigit, row)):
+                return list(map(int, row)), 1
+        except (TypeError, ValueError):  # an entry that is not text, or too many digits
+            pass
+    return _scale_row([parse_value(v) for v in row])
+
+
+def _format_ratio(x: int, scale: int) -> str:
+    """``format_value(Fraction(x, scale))`` without building the Fraction."""
+    g = math.gcd(x, scale)
+    if g == scale:
+        return str(x // g)
+    return f"{x // g}/{scale // g}"
 
 
 def _int_matrix(rows: list[list[int]], n: int, m: int) -> np.ndarray:
@@ -129,8 +144,8 @@ class Instance:
         values: Sequence[Sequence[Value]],
         bivalued_meta: Optional[Sequence[tuple[Value, Value]]] = None,
     ) -> None:
-        rows, scales = _scale_rows(values)
-        self._store(n, m, rows, scales, bivalued_meta)
+        scaled = [_scale_row(row) for row in values]
+        self._store(n, m, [r for r, _ in scaled], tuple(s for _, s in scaled), bivalued_meta)
 
     @staticmethod
     def from_scaled(
@@ -244,7 +259,10 @@ class Instance:
         out: dict = {
             "n": self.n,
             "m": self.m,
-            "values": [[format_value(v) for v in row] for row in self.values],
+            "values": [
+                list(map(str, row)) if scale == 1 else [_format_ratio(x, scale) for x in row]
+                for row, scale in zip(self.scaled_values.tolist(), self.scales)
+            ],
         }
         if self.bivalued_meta is not None:
             out["bivalued"] = [
@@ -255,10 +273,11 @@ class Instance:
 
     @staticmethod
     def from_json(data: dict) -> "Instance":
+        """The instance of ``{"n", "m", "values", "bivalued"?}``: each value is
+        read by :func:`parse_value`; rows of plain integer text skip the
+        ``Fraction``s."""
         try:
-            values = tuple(
-                tuple(parse_value(v) for v in row) for row in data["values"]
-            )
+            scaled = [_parse_row(row) for row in data["values"]]
             meta = None
             if data.get("bivalued") is not None:
                 meta = tuple(
@@ -269,7 +288,10 @@ class Instance:
             raise DomainError(f"instance JSON lacks the key {exc}") from None
         except (AttributeError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed instance JSON: {exc}") from None
-        return Instance(n, m, values, meta)
+        # Stored as from_scaled would, but checked against the JSON's n and m.
+        instance = Instance.__new__(Instance)
+        instance._store(n, m, [r for r, _ in scaled], tuple(s for _, s in scaled), meta)
+        return instance
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2)
@@ -371,24 +393,33 @@ def build_ranking(instance: Instance) -> PreferenceProfile:
 
 
 def validate(instance: Instance, allocation: Allocation) -> None:
-    """Raise a diagnostic error if the allocation is malformed for the instance."""
-    if len(allocation.bundles) != instance.n:
-        raise InvalidAllocation(
-            f"expected {instance.n} bundles, got {len(allocation.bundles)}"
-        )
-    seen: set[int] = set()
-    for i, bundle in enumerate(allocation.bundles):
-        for g in bundle:
-            if not 0 <= g < instance.m:
-                raise InvalidAllocation(f"bundle {i} references unknown good {g}")
-            if g in seen:
-                raise OverlapError(f"good {g} appears in more than one bundle")
-            seen.add(g)
-    if allocation.complete and len(seen) != instance.m:
+    """Raise a diagnostic error if the allocation is malformed for the instance.
+
+    Of several unknown or repeated goods, the lowest is reported.
+    """
+    n, m = instance.n, instance.m
+    bundles = allocation.bundles
+    if len(bundles) != n:
+        raise InvalidAllocation(f"expected {n} bundles, got {len(bundles)}")
+    sizes = list(map(len, bundles))
+    total = sum(sizes)
+    try:
+        goods = np.fromiter(itertools.chain.from_iterable(bundles), np.int64, total)
+    except OverflowError:  # a good beyond int64 is unknown anyway
+        goods = np.array(list(itertools.chain.from_iterable(bundles)), dtype=object)
+    unknown = (goods < 0) | (goods >= m)
+    if unknown.any():
+        g = goods[unknown].min()
+        i = np.repeat(np.arange(n), sizes)[unknown & (goods == g)][0]
+        raise InvalidAllocation(f"bundle {i} references unknown good {g}")
+    repeated = np.flatnonzero(np.bincount(goods.astype(np.int64, copy=False), minlength=m) > 1)
+    if repeated.size:
+        raise OverlapError(f"good {repeated[0]} appears in more than one bundle")
+    if allocation.complete and total != m:
         raise CompletenessError(
-            f"allocation marked complete but covers {len(seen)} of {instance.m} goods"
+            f"allocation marked complete but covers {total} of {m} goods"
         )
-    if not allocation.complete and len(seen) == instance.m:
+    if not allocation.complete and total == m:
         raise CompletenessError("allocation covers all goods but is not marked complete")
 
 
@@ -457,14 +488,6 @@ def fairness_report(instance: Instance, allocation: Allocation) -> FairnessRepor
         ef1_binding,
         Fraction(*raw_efx) if raw_efx is not None else None,
     )
-
-
-def alpha_efx(instance: Instance, allocation: Allocation) -> FairnessReport:
-    return fairness_report(instance, allocation)
-
-
-def alpha_ef1(instance: Instance, allocation: Allocation) -> FairnessReport:
-    return fairness_report(instance, allocation)
 
 
 def trivial_few_goods_allocation(n: int, m: int) -> Allocation:

@@ -15,10 +15,10 @@ from .core import (
     DomainError,
     FairDivisionError,
     Instance,
+    InvalidAllocation,
     Value,
     fairness_report,
     trivial_few_goods_allocation,
-    validate,
 )
 from .elicitation import QueryOracle
 from .enclosures import pow_enclosure, sqrt_enclosure
@@ -162,12 +162,11 @@ def virtual_efx(
     proxy = virtual_instance(oracle, virtuals)
     allocation = blackbox(proxy)
     try:
-        validate(proxy, allocation)
-    except FairDivisionError as exc:
+        measured_rho = fairness_report(proxy, allocation).alpha_efx
+    except InvalidAllocation as exc:
         raise BlackboxInvalid(str(exc)) from exc
     if not allocation.complete:
         raise BlackboxInvalid("black box returned a partial allocation")
-    measured_rho = fairness_report(proxy, allocation).alpha_efx
     return allocation, virtuals, measured_rho
 
 

@@ -2,9 +2,9 @@
 ranking, fairness report, match-freeze rounds and envy-cycle heuristic, the
 exhaustive oracles' per-call row scaling and their chunked enumeration, the
 ``Fraction``-row builds of the ``virtual_efx`` proxy and mfrr's uncovered
-instance, the recursive matching, and the float-seeded root enclosure. The differential tests run the library against
-these and require identical outputs; nothing outside the tests imports this
-module.
+instance, the recursive matching, and the root enclosure bisected in
+``Fraction`` arithmetic. The differential tests run the library against these
+and require identical outputs; nothing outside the tests imports this module.
 """
 
 from __future__ import annotations
@@ -15,7 +15,88 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from efxlab.core import Allocation, FairnessReport, Instance, PreferenceProfile, validate
+from efxlab.core import (
+    Allocation,
+    CompletenessError,
+    DomainError,
+    FairnessReport,
+    Instance,
+    InvalidAllocation,
+    OverlapError,
+    PreferenceProfile,
+    format_value,
+    parse_value,
+)
+from efxlab.enclosures import _exact_nth_root, integer_nth_root as library_integer_nth_root
+
+
+def instance_from_json(data: dict) -> Instance:
+    """``Instance.from_json`` parsing every value into a ``Fraction``."""
+    try:
+        values = tuple(tuple(parse_value(v) for v in row) for row in data["values"])
+        meta = None
+        if data.get("bivalued") is not None:
+            meta = tuple((parse_value(e["h"]), parse_value(e["l"])) for e in data["bivalued"])
+        n, m = int(data["n"]), int(data["m"])
+    except KeyError as exc:
+        raise DomainError(f"instance JSON lacks the key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed instance JSON: {exc}") from None
+    return Instance(n, m, values, meta)
+
+
+def instance_to_json(instance: Instance) -> dict:
+    """``Instance.to_json`` formatting the ``Fraction`` view."""
+    out: dict = {
+        "n": instance.n,
+        "m": instance.m,
+        "values": [[format_value(v) for v in row] for row in instance.values],
+    }
+    if instance.bivalued_meta is not None:
+        out["bivalued"] = [
+            {"h": format_value(h), "l": format_value(low)} for h, low in instance.bivalued_meta
+        ]
+    return out
+
+
+def validate(instance: Instance, allocation: Allocation) -> None:
+    """Per-good validation in Python; reports the first bad good it meets."""
+    if len(allocation.bundles) != instance.n:
+        raise InvalidAllocation(f"expected {instance.n} bundles, got {len(allocation.bundles)}")
+    seen: set[int] = set()
+    for i, bundle in enumerate(allocation.bundles):
+        for g in bundle:
+            if not 0 <= g < instance.m:
+                raise InvalidAllocation(f"bundle {i} references unknown good {g}")
+            if g in seen:
+                raise OverlapError(f"good {g} appears in more than one bundle")
+            seen.add(g)
+    if allocation.complete and len(seen) != instance.m:
+        raise CompletenessError(
+            f"allocation marked complete but covers {len(seen)} of {instance.m} goods"
+        )
+    if not allocation.complete and len(seen) == instance.m:
+        raise CompletenessError("allocation covers all goods but is not marked complete")
+
+
+def ordinal_lb_cases(n: int, m: int) -> tuple[Instance, Instance]:
+    """The two valuations of ``ordinal_lb_build`` from ``Fraction`` rows."""
+    one, zero = Fraction(1), Fraction(0)
+    case1_row = tuple(one if g < n - 1 else zero for g in range(m))
+    case1 = Instance(n, m, tuple(case1_row for _ in range(n)))
+    case2 = Instance(n, m, tuple(tuple(one for _ in range(m)) for _ in range(n)))
+    return case1, case2
+
+
+def query_lb_revealed(n: int, k: int, t: int, sqrt_lo: Fraction) -> Instance:
+    """The revealed instance of ``query_lb_build`` from ``Fraction`` rows."""
+    m = t ** (2 * k - 1)
+    sizes = tuple(t ** (2 * level - 1) for level in range(1, k))
+    row: list[Fraction] = [sqrt_lo] * (n - 1)
+    for level, size in enumerate(sizes, start=1):
+        row.extend([Fraction(1, t ** (2 * level))] * size)
+    row.extend([Fraction(0)] * (m - (n - 1) - sum(sizes)))
+    return Instance(n, m, tuple(tuple(row) for _ in range(n)))
 
 
 def build_ranking(instance: Instance) -> PreferenceProfile:
@@ -256,15 +337,27 @@ def integer_nth_root(x: int, q: int) -> int:
     return r
 
 
+def _root_guess(t: Fraction, q: int) -> Fraction:
+    e = 64 - (t.numerator.bit_length() - t.denominator.bit_length()) // q
+    scaled = t * Fraction(2) ** (q * e)
+    return library_integer_nth_root(math.floor(scaled), q) / Fraction(2) ** e
+
+
 def nth_root_enclosure(t: Fraction, q: int, rel_width: Fraction) -> tuple[Fraction, Fraction]:
-    """Float-seeded enclosure; loops forever when float(t) is 0."""
+    """Float-seeded enclosure bisected in ``Fraction`` arithmetic, with the
+    integer 64-bit guess beyond the float range; loops forever when
+    ``rel_width <= 0``."""
     if t == 0:
         return Fraction(0), Fraction(0)
-    rn = integer_nth_root(t.numerator, q)
-    rd = integer_nth_root(t.denominator, q)
-    if rn**q == t.numerator and rd**q == t.denominator:
-        return Fraction(rn, rd), Fraction(rn, rd)
-    guess = Fraction(float(t) ** (1.0 / q))
+    exact = _exact_nth_root(t, q)
+    if exact is not None:
+        return exact, exact
+    try:
+        guess = Fraction(float(t) ** (1.0 / q))
+    except OverflowError:
+        guess = Fraction(0)
+    if guess == 0:
+        guess = _root_guess(t, q)
     pad = Fraction(1, 10**9)
     lo = guess * (1 - pad)
     hi = guess * (1 + pad)

@@ -1,9 +1,10 @@
 import signal
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import fraction_reference as ref
 from efxlab.enclosures import (
@@ -102,15 +103,63 @@ def test_root_enclosure_below_float_range():
     assert (hi - lo) <= hi * DEFAULT_REL_WIDTH
 
 
-@settings(max_examples=200)
-@given(
-    st.fractions(min_value=Fraction(1, 10**6), max_value=10**6, max_denominator=10**6),
-    st.integers(min_value=1, max_value=7),
-)
-def test_float_range_endpoints_unchanged(t, q):
-    assert nth_root_enclosure(t, q) == ref.nth_root_enclosure(t, q, DEFAULT_REL_WIDTH)
-
-
 @given(st.integers(min_value=2**53, max_value=2**200), st.integers(min_value=4, max_value=8))
 def test_integer_root_above_exact_floats_unchanged(x, q):
     assert integer_nth_root(x, q) == ref.integer_nth_root(x, q)
+
+
+# Every relative width theorem5_params may try: 1e-12, then down by 1e-6
+# until it drops below 1e-40.
+THEOREM5_WIDTHS = tuple(Fraction(1, 10 ** (12 + 6 * j)) for j in range(6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 10**6),
+    st.integers(1, 10**6),
+    st.integers(-450, 450),
+    st.integers(1, 7),
+    st.sampled_from(THEOREM5_WIDTHS),
+)
+def test_integer_bisection_endpoints_equal_fraction_bisection(a, b, exponent, q, width):
+    """t = a/b * 10**exponent reaches far above and below the float range,
+    where the guess comes from the integer root instead of a float."""
+    t = Fraction(a, b) * Fraction(10) ** exponent
+    assume(not is_subnormal(t))
+    with time_limit(10):
+        assert nth_root_enclosure(t, q, width) == ref.nth_root_enclosure(t, q, width)
+
+
+@pytest.mark.parametrize("width", [Fraction(0), Fraction(-1), 0, -1])
+def test_nonpositive_width_is_rejected(width):
+    calls = [
+        lambda: pow_enclosure(2, 1, 2, width),
+        lambda: pow_enclosure(2, 0, 1, width),
+        lambda: pow_enclosure(8, 1, 3, width),
+        lambda: sqrt_enclosure(2, width),
+        lambda: sqrt_enclosure(0, width),
+        lambda: nth_root_enclosure(Fraction(2), 2, width),
+        lambda: nth_root_enclosure(Fraction(4), 2, width),
+    ]
+    with time_limit(5):
+        for call in calls:
+            with pytest.raises(ValueError, match="rel_width"):
+                call()
+
+
+def is_subnormal(t: Fraction) -> bool:
+    return t < 1 and 0.0 < float(t) < sys.float_info.min
+
+
+@pytest.mark.parametrize(
+    "t", [Fraction(1, 73815 * 10**314), Fraction(1, 10**320), Fraction(3, 10**323)]
+)
+def test_subnormal_input_is_seeded_by_the_integer_root(t):
+    """A float root of a subnormal float is a seed too poor to widen in
+    1e-9 steps (the Fraction reference takes seconds to hours here)."""
+    assert is_subnormal(t)
+    for q in (2, 3, 7):
+        with time_limit(5):
+            lo, hi = nth_root_enclosure(t, q, THEOREM5_WIDTHS[-1])
+        assert 0 < lo and lo**q <= t <= hi**q
+        assert hi - lo <= hi * THEOREM5_WIDTHS[-1]

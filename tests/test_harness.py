@@ -1,11 +1,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from efxlab import Instance
+from efxlab import Instance, cli
 from efxlab.cli import EXIT_GUARANTEE, EXIT_OK, EXIT_VALIDATION, main
 from efxlab.harness import (
     ALGORITHMS,
@@ -292,3 +297,64 @@ def test_cli_gen_zero_agents_exits_2(capsys):
     for kind in ("uniform", "bivalued"):
         assert main(["gen", "--kind", kind, "--n", "0", "--m", "4"]) == EXIT_VALIDATION
         assert "n >= 1" in capsys.readouterr().err
+
+
+def cli_session(tmp_path, fresh_parser: bool) -> list[tuple[int, str, str]]:
+    """Exit code, stdout and stderr of one call of every subcommand, with an
+    argparse error in the middle; a run record's wall_time is dropped."""
+    inst, alloc, config = (str(tmp_path / name) for name in ("i.json", "a.json", "c.json"))
+    Path(config).write_text(json.dumps({"runs": [
+        {"kind": "uniform", "n": 2, "m": 5, "algorithm": "rrla", "trials": 1, "seed": 3},
+    ]}))
+    Path(alloc).write_text(json.dumps({"bundles": [[0, 1, 2], [3, 4]]}))
+    calls = [
+        ["gen", "--kind", "uniform", "--n", "2", "--m", "5", "--seed", "3", "--out", inst],
+        ["gen", "--kind", "bivalued", "--n", "2", "--m", "4", "--seed", "1"],
+        ["run", "--instance", inst, "--alg", "prr", "--k", "2"],
+        ["run", "--instance", inst, "--alg", "nope"],  # argparse: invalid choice
+        ["oracle", "--instance", inst],
+        ["verify", "--instance", inst, "--allocation", alloc],
+        ["sweep", "--config", config],
+        ["adversary", "--family", "ordinal", "--n", "3", "--m", "9", "--alg", "rrla"],
+        ["adversary", "--family", "query", "--n", "2", "--k", "2", "--t", "3", "--alg", "prr"],
+        ["run", "--instance", inst, "--alg", "mfrr"],  # exit 2 from the library
+    ]
+    results = []
+    for argv in calls:
+        if fresh_parser:
+            cli._parser.cache_clear()
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        text = out.getvalue()
+        if argv[0] == "run" and code == EXIT_OK:
+            record = json.loads(text)
+            del record["wall_time"]
+            text = json.dumps(record)
+        results.append((code, text, err.getvalue()))
+    return results
+
+
+def test_cli_reuses_one_parser_with_unchanged_results(tmp_path):
+    fresh = cli_session(tmp_path, fresh_parser=True)
+    cli._parser.cache_clear()
+    reused = cli_session(tmp_path, fresh_parser=False)
+    assert cli._parser.cache_info().misses == 1
+    assert reused == fresh
+    codes = [code for code, _, _ in reused]
+    assert codes == [0, 0, 0, 2, 0, 0, 0, 0, 0, 2]
+    assert "invalid choice: 'nope'" in reused[3][2]
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["adversary", "--family", "ordinal", "--n", "3", "--m", "9", "--alg", "rrla"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "efxlab", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert main(argv) == EXIT_OK
+    assert (proc.returncode, proc.stdout) == (EXIT_OK, capsys.readouterr().out)

@@ -1,10 +1,12 @@
 """Differential tests of the integer value kernel against the pure-Fraction
 reference in ``fraction_reference``: the stored integer form of an instance,
-query answers, the algorithms' proxy instances, rankings, fairness reports,
+instance JSON in both directions, allocation validation, the adversarial
+families, query answers, the algorithms' proxy instances, rankings, fairness reports,
 every algorithm's run record, match-freeze rounds and the matching itself
 must be identical, on both the int64 and the object-dtype paths."""
 
 import dataclasses
+import json
 import math
 import pickle
 import random
@@ -20,9 +22,12 @@ from hypothesis import given, settings, strategies as st
 import fraction_reference as ref
 from efxlab import (
     Allocation,
+    CompletenessError,
     DomainError,
     FairDivisionError,
     Instance,
+    InvalidAllocation,
+    OverlapError,
     QueryOracle,
     bucketize,
     build_ranking,
@@ -30,7 +35,10 @@ from efxlab import (
     envy_cycle_heuristic,
     fairness_report,
     match_freeze_round,
+    ordinal_lb_build,
     prioritized_max_matching,
+    query_lb_build,
+    validate,
     virtual_instance,
 )
 from efxlab import bivalued, elicitation, harness, query_enhanced
@@ -281,3 +289,123 @@ def test_matching_long_augmenting_chain():
         ref.prioritized_max_matching(*args)
     match = prioritized_max_matching(*args)
     assert match == {**{i: i + 1 for i in range(chain)}, chain: 0}
+
+
+# ---- instance JSON, validation and the adversarial families ------------
+
+# JSON values of every kind: plain integer text (the fast path), other text
+# parse_value accepts or rejects, and non-text JSON values. Rows are either
+# all plain integer text or drawn from every kind.
+plain_text = st.integers(0, 10**30).map(str)
+json_values = st.one_of(
+    plain_text,
+    st.fractions(min_value=-5, max_value=10**6, max_denominator=10**4).map(str),
+    st.sampled_from(
+        ["", " 7", "7 ", "+3", "-0", "0007", "1_000", "1e3", "2.50", ".5", "3/0",
+         "1 / 2", "1/-2", "\u0663", "\u00b2", "x", "nan", "inf", "True", "1" * 5000]
+    ),
+    st.text(max_size=3),
+    st.integers(-5, 10**30),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.just([1]),
+)
+
+
+def result_or_error(call, arg):
+    """``call(arg)``, or the class of the exception it raised."""
+    try:
+        return call(arg)
+    except Exception as exc:  # the classes must agree, whatever they are
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.lists(plain_text, max_size=4), st.lists(json_values, max_size=4)),
+        max_size=3,
+    ),
+    st.sampled_from((0, 0, 0, -1, 1)),
+    st.sampled_from((0, 0, 0, -1, 1)),
+    st.sampled_from([None, None, None, [], [{"h": "2", "l": "1"}] * 3, [{"h": "1"}]]),
+)
+def test_from_json_accepts_and_rejects_like_parse_value(rows, dn, dm, bivalued):
+    data = {"n": len(rows) + dn, "m": len(rows[0]) + dm if rows else 1, "values": rows}
+    if bivalued is not None:
+        data["bivalued"] = bivalued[: len(rows)]
+    new = result_or_error(Instance.from_json, data)
+    old = result_or_error(ref.instance_from_json, data)
+    if isinstance(old, type):
+        assert new is old
+    else:
+        assert new == old
+        assert new.scales == old.scales
+        assert new.scaled_values.dtype == old.scaled_values.dtype
+        assert json.dumps(new.to_json()) == json.dumps(ref.instance_to_json(old))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.booleans(), st.data())
+def test_instance_json_is_byte_identical(bivalued_meta, data):
+    instance = Instance.from_rows(*data.draw(rational_rows(bivalued_meta)))
+    text = json.dumps(instance.to_json(), indent=2)
+    assert text == json.dumps(ref.instance_to_json(instance), indent=2)
+    assert Instance.loads(text) == ref.instance_from_json(json.loads(text)) == instance
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_validate_reports_the_lowest_bad_good(data):
+    n = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(1, 6))
+    bundle_count = n if data.draw(st.integers(0, 9)) else data.draw(st.integers(0, 5))
+    goods = st.one_of(st.integers(0, m - 1), st.integers(-3, m + 3), st.just(2**70))
+    bundles = data.draw(
+        st.lists(st.frozensets(goods, max_size=4), min_size=bundle_count, max_size=bundle_count)
+    )
+    allocation = Allocation(tuple(bundles), data.draw(st.booleans()))
+    instance = Instance.from_rows([[1] * m] * n)
+    new = result_or_error(lambda a: validate(instance, a), allocation)
+    old = result_or_error(lambda a: ref.validate(instance, a), allocation)
+    listed = [g for b in bundles for g in b]
+    unknown = sorted(g for g in listed if not 0 <= g < m)
+    repeated = sorted(g for g in set(listed) if listed.count(g) > 1)
+    if len(bundles) != n or not (unknown and repeated):
+        assert new is old
+    if len(bundles) == n and unknown:
+        assert new is InvalidAllocation
+        with pytest.raises(InvalidAllocation, match=f"unknown good {unknown[0]}$"):
+            validate(instance, allocation)
+    elif len(bundles) == n and repeated:
+        assert new is OverlapError
+        with pytest.raises(OverlapError, match=f"^good {repeated[0]} "):
+            validate(instance, allocation)
+    assert new in (None, InvalidAllocation, OverlapError, CompletenessError)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_ordinal_family_equals_fraction_rows(n):
+    for m in range(n + 3, n + 12):
+        family = ordinal_lb_build(n, m)
+        case1, case2 = ref.ordinal_lb_cases(n, m)
+        assert (family.case1, family.case2) == (case1, case2)
+        assert family.case1.scaled_values.dtype == case1.scaled_values.dtype
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_query_family_equals_fraction_rows(n):
+    built = 0
+    for k in range(1, 5):
+        for t in range(2, 6):
+            try:
+                family = query_lb_build(n, k, t)
+            except DomainError:
+                continue
+            expected = ref.query_lb_revealed(n, k, t, family.top_value)
+            assert family.revealed == expected
+            assert family.revealed.scales == expected.scales
+            assert family.revealed.scaled_values.dtype == expected.scaled_values.dtype
+            built += 1
+    assert built >= 5
