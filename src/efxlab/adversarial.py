@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .core import (
     Allocation,
@@ -20,7 +19,7 @@ from .core import (
     FairDivisionError,
     Instance,
     Value,
-    fairness_report,
+    pair_factor,
     validate,
 )
 from .elicitation import Transcript
@@ -43,6 +42,8 @@ class OrdinalLBFamily:
 
 
 def ordinal_lb_build(n: int, m: int) -> OrdinalLBFamily:
+    if n < 2:
+        raise DomainError("need n >= 2")
     if m <= n + 2:
         raise DomainError("family requires m > n + 2")
     case1_row = [1] * (n - 1) + [0] * (m - n + 1)
@@ -89,17 +90,6 @@ class QueryLBFamily:
         """Revealed value of goods in middle segment ``level`` (1-based)."""
         return Fraction(1, self.t ** (2 * level))
 
-    def good_block(self, good: int) -> tuple[str, int]:
-        """Classify a good index: ("top", pos), ("seg", level) or ("block", 0)."""
-        if good < self.n - 1:
-            return "top", good
-        offset = good - (self.n - 1)
-        for level, size in enumerate(self.segment_sizes, start=1):
-            if offset < size:
-                return "seg", level
-            offset -= size
-        return "block", 0
-
 
 def query_lb_build(n: int, k: int, t: int) -> QueryLBFamily:
     """Build the family for m = t**(2k-1) goods.
@@ -137,23 +127,12 @@ def query_lb_build(n: int, k: int, t: int) -> QueryLBFamily:
     )
 
 
-def _pair_cap(instance: Instance, allocation: Allocation, i: int, j: int) -> Value:
-    """Capped EFX contribution of the ordered pair (i, j); 1 if unconstrained."""
-    row = instance.values[i]
-    own = sum((row[g] for g in allocation.bundles[i]), Fraction(0))
-    bundle = allocation.bundles[j]
-    if not bundle:
-        return Fraction(1)
-    worst = sum((row[g] for g in bundle), Fraction(0)) - min(row[g] for g in bundle)
-    if worst <= 0:
-        return Fraction(1)
-    return min(Fraction(1), own / worst)
-
-
-def _with_row(base: Instance, agent: int, row: tuple[Value, ...]) -> Instance:
-    rows = list(base.values)
-    rows[agent] = row
-    return Instance(base.n, base.m, tuple(rows))
+def _on_scale(value: Value, scale: int) -> int:
+    """``value * scale`` as an int; the value's denominator must divide the scale."""
+    scaled, rest = divmod(value.numerator * scale, value.denominator)
+    if rest:
+        raise DomainError(f"value {value} is not on the revealed scale {scale}")
+    return scaled
 
 
 def query_adversary_complete(
@@ -169,6 +148,7 @@ def query_adversary_complete(
 
     Returns the completion and the exact capped envy factor of the pair the
     construction targets (an upper bound on the allocation's EFX factor).
+    All values are compared and edited on the revealed integer scale.
     """
     revealed = family.revealed
     validate(revealed, allocation)
@@ -176,10 +156,11 @@ def query_adversary_complete(
         raise DomainError("adversary requires a complete allocation")
     queried: dict[int, set[int]] = {i: set() for i in range(family.n)}
     for agent, good, value in transcript.entries:
-        if revealed.values[agent][good] != value:
+        x, scale = int(revealed.scaled_values[agent, good]), revealed.scales[agent]
+        if value.numerator * scale != x * value.denominator:
             raise InconsistentTranscript(
                 f"transcript says v_{agent}(g{good}) = {value}, family reveals "
-                f"{revealed.values[agent][good]}"
+                f"{Fraction(x, scale)}"
             )
         queried[agent].add(good)
 
@@ -191,44 +172,38 @@ def query_adversary_complete(
     for g in sorted(top):
         holder = owner[g]
         if len(allocation.bundles[holder]) >= 2:
-            return revealed, _pair_cap(revealed, allocation, unserved, holder)
+            return revealed, pair_factor(revealed, allocation, unserved, holder)
 
     # All top goods are singleton bundles; the remaining agent holds the rest.
     last_top = n - 2
     holder = owner[last_top]
-    ranking_row = list(revealed.values[holder])
+    scale = revealed.scales[holder]
+    row = revealed.scaled_values[holder].tolist()
 
     if last_top not in queried[holder]:
         # Drop the unqueried own good to the next tier's value.
         next_value = family.segment_value(1) if family.k >= 2 else Fraction(0)
-        ranking_row[last_top] = next_value
-        completed = _with_row(revealed, holder, tuple(ranking_row))
-        return completed, _pair_cap(completed, allocation, holder, unserved)
-
-    # Otherwise raise the lowest entirely-unqueried tier to its predecessor's value.
-    tiers: list[tuple[str, int]] = [("seg", level) for level in range(1, family.k)]
-    tiers.append(("block", 0))
-    for kind, level in tiers:
-        members = [
-            g for g in range(family.m) if family.good_block(g) == (kind, level)
-        ]
-        if any(g in queried[holder] for g in members):
-            continue
-        if kind == "seg":
-            raised = (
-                family.top_value if level == 1 else family.segment_value(level - 1)
-            )
+        row[last_top] = _on_scale(next_value, scale)
+    else:
+        # Otherwise raise the lowest entirely-unqueried tier (a middle
+        # segment, then the zero block) to its predecessor's value.
+        tiers, start = [], n - 1
+        for size in (*family.segment_sizes, family.block_size):
+            tiers.append(range(start, start + size))
+            start += size
+        raised = [family.top_value] + [family.segment_value(lv) for lv in range(1, family.k)]
+        for members, value in zip(tiers, raised):
+            if queried[holder].isdisjoint(members):
+                row[members.start : members.stop] = [_on_scale(value, scale)] * len(members)
+                break
         else:
-            raised = (
-                family.segment_value(family.k - 1)
-                if family.k >= 2
-                else family.top_value
+            raise DomainError(
+                "no entirely-unqueried tier exists; transcript exceeds the family's budget"
             )
-        for g in members:
-            ranking_row[g] = raised
-        completed = _with_row(revealed, holder, tuple(ranking_row))
-        return completed, _pair_cap(completed, allocation, holder, unserved)
 
-    raise DomainError(
-        "no entirely-unqueried tier exists; transcript exceeds the family's budget"
-    )
+    divisor = math.gcd(scale, *row)
+    rows = revealed.scaled_values.tolist()
+    rows[holder] = [x // divisor for x in row]
+    scales = revealed.scales[:holder] + (scale // divisor,) + revealed.scales[holder + 1 :]
+    completed = Instance.from_scaled(rows, scales)
+    return completed, pair_factor(completed, allocation, holder, unserved)

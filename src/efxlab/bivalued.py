@@ -104,14 +104,6 @@ def prioritized_max_matching(
     return match_of_agent
 
 
-def _check_bivalued(instance: Instance, participants: Sequence[int]) -> None:
-    if instance.bivalued_meta is None:
-        raise NotBivalued("instance has no bivalued metadata")
-    for i in participants:
-        if instance.bivalued_meta[i][1] == 0:
-            raise ZeroLowValue(f"agent {i} has low value 0")
-
-
 def _high_goods(instance: Instance, agent: int, high: Value) -> list[int]:
     """The agent's goods worth ``high``, her high value, ascending."""
     row = instance.scaled_values[agent]
@@ -184,22 +176,22 @@ def match_freeze_round(
                 state.freeze_counters[j] = duration
 
 
-def match_and_freeze(
-    instance: Instance, participants: Optional[Sequence[int]] = None
-) -> Allocation:
+def match_and_freeze(instance: Instance) -> Allocation:
     """Full run of the matching-with-freezing procedure over all goods.
 
     Callers that own the loop use :func:`match_freeze_round` instead.
     """
-    agents = list(participants) if participants is not None else list(range(instance.n))
-    _check_bivalued(instance, agents)
+    if instance.bivalued_meta is None:
+        raise NotBivalued("instance has no bivalued metadata")
+    for i, (_, low) in enumerate(instance.bivalued_meta):
+        if low == 0:
+            raise ZeroLowValue(f"agent {i} has low value 0")
+    agents = list(range(instance.n))
     run_state = MatchFreezeState(
         freeze_counters=[0] * instance.n,
         pool=set(range(instance.m)),
         bundles=[set() for _ in range(instance.n)],
     )
-    if not agents:
-        raise DomainError("participants must be nonempty")
     while run_state.pool:
         match_freeze_round(instance, agents, run_state)
     return Allocation(

@@ -25,6 +25,7 @@ from .core import (
 from .fullinfo import best_alpha_bruteforce
 from .harness import (
     ALGORITHMS,
+    BLACKBOXES,
     GEN_KINDS,
     adversary_ordinal,
     adversary_query,
@@ -87,7 +88,7 @@ def _parser() -> argparse.ArgumentParser:
     p_run.add_argument("--alg", choices=ALGORITHMS, required=True)
     p_run.add_argument("--k", type=int)
     p_run.add_argument("--lambda", dest="lam", type=str)
-    p_run.add_argument("--blackbox", choices=("exact", "envy_cycle"), default="envy_cycle")
+    p_run.add_argument("--blackbox", choices=tuple(BLACKBOXES), default="envy_cycle")
     p_run.add_argument("--budget", type=int)
     p_run.add_argument(
         "--assert-bounds",

@@ -490,6 +490,23 @@ def fairness_report(instance: Instance, allocation: Allocation) -> FairnessRepor
     )
 
 
+def pair_factor(instance: Instance, allocation: Allocation, i: int, j: int) -> Value:
+    """Agent i's capped EFX factor towards bundle j, the pair term of
+    :func:`fairness_report`: min(1, v_i(X_i) / (v_i(X_j) - min_{g in X_j} v_i(g))),
+    or 1 when X_j is empty or that denominator is not positive. The allocation
+    must already be valid for the instance (see :func:`validate`)."""
+    bundle = allocation.bundles[j]
+    if not bundle:
+        return Fraction(1)
+    row = instance.scaled_values[i]
+    envied = row[list(bundle)]
+    worst = int(envied.sum()) - int(envied.min())
+    if worst <= 0:
+        return Fraction(1)
+    own = int(row[list(allocation.bundles[i])].sum())
+    return min(Fraction(1), Fraction(own, worst))
+
+
 def trivial_few_goods_allocation(n: int, m: int) -> Allocation:
     """One good per agent in ascending order; used whenever m < n.
 

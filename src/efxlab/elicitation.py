@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import (
+    DomainError,
     FairDivisionError,
     Instance,
     PreferenceProfile,
@@ -49,6 +50,8 @@ class QueryOracle:
     """Mutable sequential resource owned by a single algorithm run."""
 
     def __init__(self, instance: Instance, budget: Optional[int] = None) -> None:
+        if budget is not None and budget < 0:
+            raise DomainError(f"budget must be >= 0, got {budget}")
         self._hidden = instance
         self._profile = build_ranking(instance)
         self._budget = budget

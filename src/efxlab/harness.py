@@ -10,12 +10,11 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, TextIO
+from typing import Callable, Optional, TextIO
 
 import numpy as np
 
 from .adversarial import (
-    OrdinalLBFamily,
     QueryLBFamily,
     ordinal_adversary_pick,
     ordinal_lb_build,
@@ -46,16 +45,6 @@ from .query_enhanced import (
     virtual_efx_bound,
 )
 
-ALGORITHMS = (
-    "round_robin",
-    "rrla",
-    "virtual_efx",
-    "prr",
-    "match_freeze",
-    "mfrr",
-    "two_query",
-)
-
 GEN_KINDS = ("uniform", "bivalued", "ordinal_lb", "query_lb")
 
 BLACKBOXES = {
@@ -64,8 +53,75 @@ BLACKBOXES = {
 }
 
 
-class GuaranteeViolation(FairDivisionError):
-    """A run's measured fairness fell below its guaranteed bound."""
+@dataclass(frozen=True)
+class AlgorithmSpec:
+    """How :func:`execute` runs one algorithm and which bound it carries.
+
+    ``run(oracle, k, lam, blackbox)`` returns (allocation, bound, params,
+    extras); ``bound_kind`` names the factor the bound constrains ("efx" or
+    "ef1"); ``bivalued`` algorithms need a bivalued instance; the
+    ``query_family`` ones also run against the query family, with the budget
+    as k. Runners look the algorithms up as module globals at call time.
+    """
+
+    run: Callable[[QueryOracle, Optional[int], Optional[Value], str], tuple]
+    bound_kind: str
+    bivalued: bool = False
+    query_family: bool = False
+
+
+def _run_round_robin(oracle: QueryOracle, *_) -> tuple:
+    return round_robin(oracle), Fraction(1), {}, {}
+
+
+def _run_rrla(oracle: QueryOracle, *_) -> tuple:
+    n, m = oracle.n, oracle.m
+    return rrla(oracle), Fraction(1, m - n) if m > n else Fraction(1), {}, {}
+
+
+def _run_virtual_efx(oracle: QueryOracle, k: Optional[int], _lam, blackbox: str) -> tuple:
+    k = k if k is not None else 1
+    params = {"k": k, "blackbox": blackbox}
+    if blackbox not in BLACKBOXES:
+        raise DomainError(f"unknown blackbox {blackbox!r}")
+    allocation, _, measured_rho = virtual_efx(oracle, k, BLACKBOXES[blackbox])
+    bound = virtual_efx_bound(oracle.m, k, measured_rho)
+    return allocation, bound, params, {"measured_rho": measured_rho}
+
+
+def _run_prr(oracle: QueryOracle, k: Optional[int], lam: Optional[Value], _blackbox) -> tuple:
+    n, m = oracle.n, oracle.m
+    k = k if k is not None else 2
+    lam = lam if lam is not None else default_lambda(n, m, k)
+    allocation = prr(oracle, theorem5_params(n, m, k, lam))
+    return allocation, theorem5_bound(n, m, k, lam), {"k": k, "lam": lam}, {}
+
+
+def _run_match_freeze(oracle: QueryOracle, *_) -> tuple:
+    # The full-information algorithm is the one runner given the instance.
+    return match_and_freeze(oracle.hidden_instance()), Fraction(1), {}, {}
+
+
+def _run_mfrr(oracle: QueryOracle, *_) -> tuple:
+    return mfrr(oracle), Fraction(1, 2), {}, {}
+
+
+def _run_two_query(oracle: QueryOracle, *_) -> tuple:
+    return two_query_bivalued(oracle), Fraction(1, oracle.n), {}, {}
+
+
+# Every algorithm name is dispatched here; the order is ALGORITHMS', on which
+# seeded callers (rng.choice over the names) depend.
+ALGORITHM_SPECS = {
+    "round_robin": AlgorithmSpec(_run_round_robin, "ef1", query_family=True),
+    "rrla": AlgorithmSpec(_run_rrla, "efx", query_family=True),
+    "virtual_efx": AlgorithmSpec(_run_virtual_efx, "efx"),
+    "prr": AlgorithmSpec(_run_prr, "efx", query_family=True),
+    "match_freeze": AlgorithmSpec(_run_match_freeze, "efx", bivalued=True),
+    "mfrr": AlgorithmSpec(_run_mfrr, "efx", bivalued=True),
+    "two_query": AlgorithmSpec(_run_two_query, "efx", bivalued=True),
+}
+ALGORITHMS = tuple(ALGORITHM_SPECS)
 
 
 @dataclass
@@ -121,15 +177,17 @@ def generate_instance(
     max_value: int = 20,
 ) -> Instance:
     """Deterministic instance generation; same arguments, same instance."""
+    if n < 1:
+        raise DomainError(f"need n >= 1, got n={n}")
+    if kind in ("uniform", "bivalued", "ordinal_lb") and m is None:
+        raise DomainError(f"{kind} generation needs m")
+    if kind in ("uniform", "bivalued") and m < 1:
+        raise DomainError(f"need m >= 1, got m={m}")
     rng = random.Random(seed)
     if kind == "uniform":
-        if m is None:
-            raise DomainError("uniform generation needs m")
         rows = [[rng.randint(0, max_value) for _ in range(m)] for _ in range(n)]
         return Instance.from_rows(rows)
     if kind == "bivalued":
-        if m is None:
-            raise DomainError("bivalued generation needs m")
         rows = []
         meta = []
         for _ in range(n):
@@ -139,8 +197,6 @@ def generate_instance(
             meta.append((h, low))
         return Instance.from_rows(rows, meta)
     if kind == "ordinal_lb":
-        if m is None:
-            raise DomainError("ordinal_lb generation needs m")
         family = ordinal_lb_build(n, m)
         return family.case1 if case == 1 else family.case2
     if kind == "query_lb":
@@ -173,60 +229,24 @@ def execute(
     """Run one algorithm on one instance and attach its guarantee bound."""
     if algorithm not in ALGORITHMS:
         raise DomainError(f"unknown algorithm {algorithm!r}")
-    if algorithm in ("match_freeze", "mfrr", "two_query") and instance.bivalued_meta is None:
+    spec = ALGORITHM_SPECS[algorithm]
+    if spec.bivalued and instance.bivalued_meta is None:
         raise NotBivalued(f"{algorithm} requires a bivalued instance")
-    n, m = instance.n, instance.m
-    params: dict = {}
-    extras: dict = {}
     oracle = QueryOracle(instance, budget=budget)
     start = time.perf_counter()
-
-    if algorithm == "round_robin":
-        allocation = round_robin(oracle)
-        bound, bound_kind = Fraction(1), "ef1"
-    elif algorithm == "rrla":
-        allocation = rrla(oracle)
-        bound = Fraction(1, m - n) if m > n else Fraction(1)
-        bound_kind = "efx"
-    elif algorithm == "virtual_efx":
-        kk = k if k is not None else 1
-        params["k"] = kk
-        params["blackbox"] = blackbox
-        if blackbox not in BLACKBOXES:
-            raise DomainError(f"unknown blackbox {blackbox!r}")
-        allocation, _, measured_rho = virtual_efx(oracle, kk, BLACKBOXES[blackbox])
-        extras["measured_rho"] = measured_rho
-        bound, bound_kind = virtual_efx_bound(m, kk, measured_rho), "efx"
-    elif algorithm == "prr":
-        kk = k if k is not None else 2
-        lamv = lam if lam is not None else default_lambda(n, m, kk)
-        params["k"] = kk
-        params["lam"] = lamv
-        allocation = prr(oracle, theorem5_params(n, m, kk, lamv))
-        bound, bound_kind = theorem5_bound(n, m, kk, lamv), "efx"
-    elif algorithm == "match_freeze":
-        allocation = match_and_freeze(instance)
-        bound, bound_kind = Fraction(1), "efx"
-    elif algorithm == "mfrr":
-        allocation = mfrr(oracle)
-        bound, bound_kind = Fraction(1, 2), "efx"
-    else:  # two_query
-        allocation = two_query_bivalued(oracle)
-        bound, bound_kind = Fraction(1, n), "efx"
-
+    allocation, bound, params, extras = spec.run(oracle, k, lam, blackbox)
     wall = time.perf_counter() - start
     report = fairness_report(instance, allocation)
-    metric = report.alpha_efx if bound_kind == "efx" else report.alpha_ef1
-    counts = [oracle.snapshot_counts()[i] for i in range(n)]
+    metric = report.alpha_efx if spec.bound_kind == "efx" else report.alpha_ef1
     return RunRecord(
         instance_id=instance_id,
         algorithm=algorithm,
         params=params,
-        query_counts=counts,
+        query_counts=list(oracle.snapshot_counts().values()),
         alpha_efx=report.alpha_efx,
         alpha_ef1=report.alpha_ef1,
         bound=bound,
-        bound_kind=bound_kind,
+        bound_kind=spec.bound_kind,
         bound_satisfied=metric >= bound,
         wall_time=wall,
         allocation=allocation,
@@ -369,20 +389,12 @@ def adversary_query(n: int, k: int, t: int, algorithm: str, budget: int) -> dict
     if k < 2:
         raise DomainError("the query family adversary needs k >= 2")
     family = query_lb_build(n, k, t)
-    lam = default_lambda(n, family.m, budget) if algorithm == "prr" else None
     run_oracle = QueryOracle(family.revealed, budget=budget)
-    if algorithm == "round_robin":
-        allocation = round_robin(run_oracle)
-    elif algorithm == "rrla":
-        allocation = rrla(run_oracle)
-    elif algorithm == "prr":
-        allocation = prr(
-            run_oracle, theorem5_params(n, family.m, budget, lam or Fraction(1))
-        )
-    else:
+    if algorithm not in ALGORITHMS or not ALGORITHM_SPECS[algorithm].query_family:
         raise DomainError(
             f"algorithm {algorithm!r} not supported against the query family"
         )
+    allocation = ALGORITHM_SPECS[algorithm].run(run_oracle, budget, None, "envy_cycle")[0]
     picked, pair_bound = query_adversary_complete(
         family, run_oracle.transcript(), allocation
     )

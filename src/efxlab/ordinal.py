@@ -21,23 +21,18 @@ def round_robin(
     oracle: QueryOracle,
     participants: Optional[Sequence[int]] = None,
     pool: Optional[Sequence[int]] = None,
-    order: Optional[Sequence[int]] = None,
 ) -> Allocation:
-    """Agents repeatedly pick their top-ranked remaining good in a fixed order.
+    """Agents, in ascending index order, repeatedly pick their top-ranked
+    remaining good.
 
     ``participants`` and ``pool`` restrict the run to a subset of agents and
-    goods (used when this serves as a subroutine); ``order`` overrides the
-    default ascending pick order among the participants.
+    goods (used when this serves as a subroutine).
     """
     profile = oracle.ordinal_view()
     n, m = oracle.n, oracle.m
     agents = list(participants) if participants is not None else list(range(n))
     if not agents:
         raise DomainError("participants must be nonempty")
-    if order is not None:
-        if sorted(order) != sorted(agents):
-            raise DomainError("order must be a permutation of the participants")
-        agents = list(order)
 
     taken = [True] * m
     remaining = 0

@@ -8,7 +8,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .core import (
     Allocation,
@@ -183,7 +183,6 @@ class PRRParams:
     k: int
     alpha: tuple[int, ...]
     beta: tuple[Value, ...]
-    lam: Optional[Value] = None
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -227,7 +226,7 @@ def theorem5_params(n: int, m: int, k: int, lam: Value) -> PRRParams:
         betas.append(sqrt_k_hi * pow_enclosure(m, 2 * level, 2 * k - 1)[1])
     if sum(alphas) >= m:
         raise ParamDomainError("segment sizes must leave goods for the final segment")
-    return PRRParams(k=k, alpha=tuple(alphas), beta=tuple(betas), lam=lam)
+    return PRRParams(k=k, alpha=tuple(alphas), beta=tuple(betas))
 
 
 def theorem5_bound(n: int, m: int, k: int, lam: Value) -> Value:

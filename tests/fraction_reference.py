@@ -2,8 +2,9 @@
 ranking, fairness report, match-freeze rounds and envy-cycle heuristic, the
 exhaustive oracles' per-call row scaling and their chunked enumeration, the
 ``Fraction``-row builds of the ``virtual_efx`` proxy and mfrr's uncovered
-instance, the recursive matching, and the root enclosure bisected in
-``Fraction`` arithmetic. The differential tests run the library against these
+instance, the recursive matching, the root enclosure bisected in
+``Fraction`` arithmetic, the harness's per-algorithm dispatch chains and the
+query adversary over ``Fraction`` rows. The differential tests run the library against these
 and require identical outputs; nothing outside the tests imports this module.
 """
 
@@ -27,6 +28,7 @@ from efxlab.core import (
     format_value,
     parse_value,
 )
+from efxlab import adversarial, bivalued, core, elicitation, harness, ordinal, query_enhanced
 from efxlab.enclosures import _exact_nth_root, integer_nth_root as library_integer_nth_root
 
 
@@ -466,3 +468,202 @@ def best_alpha_bruteforce(instance: Instance) -> tuple[Fraction, Allocation]:
             break
     assert best_digits is not None
     return Fraction(best_num, best_den), _allocation_from_digits(best_digits, n)
+
+
+# The harness as it was before the algorithm table: the ``if/elif`` chains of
+# ``execute`` and ``adversary_query``, and the query adversary over the
+# ``Fraction`` view with its ``Fraction`` pair cap.
+
+
+def execute(
+    instance: Instance,
+    algorithm: str,
+    *,
+    k: Optional[int] = None,
+    lam: Optional[Fraction] = None,
+    blackbox: str = "envy_cycle",
+    budget: Optional[int] = None,
+    instance_id: str = "",
+):
+    if algorithm not in harness.ALGORITHMS:
+        raise DomainError(f"unknown algorithm {algorithm!r}")
+    if algorithm in ("match_freeze", "mfrr", "two_query") and instance.bivalued_meta is None:
+        raise bivalued.NotBivalued(f"{algorithm} requires a bivalued instance")
+    n, m = instance.n, instance.m
+    params: dict = {}
+    extras: dict = {}
+    oracle = elicitation.QueryOracle(instance, budget=budget)
+
+    if algorithm == "round_robin":
+        allocation = ordinal.round_robin(oracle)
+        bound, bound_kind = Fraction(1), "ef1"
+    elif algorithm == "rrla":
+        allocation = ordinal.rrla(oracle)
+        bound = Fraction(1, m - n) if m > n else Fraction(1)
+        bound_kind = "efx"
+    elif algorithm == "virtual_efx":
+        kk = k if k is not None else 1
+        params["k"] = kk
+        params["blackbox"] = blackbox
+        if blackbox not in harness.BLACKBOXES:
+            raise DomainError(f"unknown blackbox {blackbox!r}")
+        black_box = harness.BLACKBOXES[blackbox]
+        allocation, _, measured_rho = query_enhanced.virtual_efx(oracle, kk, black_box)
+        extras["measured_rho"] = measured_rho
+        bound, bound_kind = query_enhanced.virtual_efx_bound(m, kk, measured_rho), "efx"
+    elif algorithm == "prr":
+        kk = k if k is not None else 2
+        lamv = lam if lam is not None else harness.default_lambda(n, m, kk)
+        params["k"] = kk
+        params["lam"] = lamv
+        params5 = query_enhanced.theorem5_params(n, m, kk, lamv)
+        allocation = query_enhanced.prr(oracle, params5)
+        bound, bound_kind = query_enhanced.theorem5_bound(n, m, kk, lamv), "efx"
+    elif algorithm == "match_freeze":
+        allocation = bivalued.match_and_freeze(instance)
+        bound, bound_kind = Fraction(1), "efx"
+    elif algorithm == "mfrr":
+        allocation = bivalued.mfrr(oracle)
+        bound, bound_kind = Fraction(1, 2), "efx"
+    else:  # two_query
+        allocation = bivalued.two_query_bivalued(oracle)
+        bound, bound_kind = Fraction(1, n), "efx"
+
+    report = core.fairness_report(instance, allocation)
+    metric = report.alpha_efx if bound_kind == "efx" else report.alpha_ef1
+    counts = [oracle.snapshot_counts()[i] for i in range(n)]
+    return harness.RunRecord(
+        instance_id=instance_id,
+        algorithm=algorithm,
+        params=params,
+        query_counts=counts,
+        alpha_efx=report.alpha_efx,
+        alpha_ef1=report.alpha_ef1,
+        bound=bound,
+        bound_kind=bound_kind,
+        bound_satisfied=metric >= bound,
+        wall_time=0.0,
+        allocation=allocation,
+        extras=extras,
+    )
+
+
+def pair_cap(instance: Instance, allocation: Allocation, i: int, j: int) -> Fraction:
+    """Capped EFX contribution of the ordered pair (i, j); 1 if unconstrained."""
+    row = instance.values[i]
+    own = sum((row[g] for g in allocation.bundles[i]), Fraction(0))
+    bundle = allocation.bundles[j]
+    if not bundle:
+        return Fraction(1)
+    worst = sum((row[g] for g in bundle), Fraction(0)) - min(row[g] for g in bundle)
+    if worst <= 0:
+        return Fraction(1)
+    return min(Fraction(1), own / worst)
+
+
+def _good_block(family, good: int) -> tuple[str, int]:
+    """Classify a good index: ("top", pos), ("seg", level) or ("block", 0)."""
+    if good < family.n - 1:
+        return "top", good
+    offset = good - (family.n - 1)
+    for level, size in enumerate(family.segment_sizes, start=1):
+        if offset < size:
+            return "seg", level
+        offset -= size
+    return "block", 0
+
+
+def _with_row(base: Instance, agent: int, row: tuple[Fraction, ...]) -> Instance:
+    rows = list(base.values)
+    rows[agent] = row
+    return Instance(base.n, base.m, tuple(rows))
+
+
+def query_adversary_complete(family, transcript, allocation: Allocation):
+    revealed = family.revealed
+    core.validate(revealed, allocation)
+    if not allocation.complete:
+        raise DomainError("adversary requires a complete allocation")
+    queried: dict[int, set[int]] = {i: set() for i in range(family.n)}
+    for agent, good, value in transcript.entries:
+        if revealed.values[agent][good] != value:
+            raise adversarial.InconsistentTranscript(
+                f"transcript says v_{agent}(g{good}) = {value}, family reveals "
+                f"{revealed.values[agent][good]}"
+            )
+        queried[agent].add(good)
+
+    n = family.n
+    top = set(range(n - 1))
+    owner = {g: j for j, b in enumerate(allocation.bundles) for g in b}
+    unserved = next(i for i in range(n) if not (allocation.bundles[i] & top))
+
+    for g in sorted(top):
+        holder = owner[g]
+        if len(allocation.bundles[holder]) >= 2:
+            return revealed, pair_cap(revealed, allocation, unserved, holder)
+
+    last_top = n - 2
+    holder = owner[last_top]
+    ranking_row = list(revealed.values[holder])
+
+    if last_top not in queried[holder]:
+        next_value = family.segment_value(1) if family.k >= 2 else Fraction(0)
+        ranking_row[last_top] = next_value
+        completed = _with_row(revealed, holder, tuple(ranking_row))
+        return completed, pair_cap(completed, allocation, holder, unserved)
+
+    tiers: list[tuple[str, int]] = [("seg", level) for level in range(1, family.k)]
+    tiers.append(("block", 0))
+    for kind, level in tiers:
+        members = [g for g in range(family.m) if _good_block(family, g) == (kind, level)]
+        if any(g in queried[holder] for g in members):
+            continue
+        if kind == "seg":
+            raised = family.top_value if level == 1 else family.segment_value(level - 1)
+        else:
+            raised = family.segment_value(family.k - 1) if family.k >= 2 else family.top_value
+        for g in members:
+            ranking_row[g] = raised
+        completed = _with_row(revealed, holder, tuple(ranking_row))
+        return completed, pair_cap(completed, allocation, holder, unserved)
+
+    raise DomainError(
+        "no entirely-unqueried tier exists; transcript exceeds the family's budget"
+    )
+
+
+def adversary_query(n: int, k: int, t: int, algorithm: str, budget: int) -> dict:
+    if k < 2:
+        raise DomainError("the query family adversary needs k >= 2")
+    family = adversarial.query_lb_build(n, k, t)
+    lam = harness.default_lambda(n, family.m, budget) if algorithm == "prr" else None
+    run_oracle = elicitation.QueryOracle(family.revealed, budget=budget)
+    if algorithm == "round_robin":
+        allocation = ordinal.round_robin(run_oracle)
+    elif algorithm == "rrla":
+        allocation = ordinal.rrla(run_oracle)
+    elif algorithm == "prr":
+        params5 = query_enhanced.theorem5_params(n, family.m, budget, lam or Fraction(1))
+        allocation = query_enhanced.prr(run_oracle, params5)
+    else:
+        raise DomainError(f"algorithm {algorithm!r} not supported against the query family")
+    picked, pair_bound = query_adversary_complete(family, run_oracle.transcript(), allocation)
+    measured = core.fairness_report(picked, allocation).alpha_efx
+    cap = harness.query_family_cap(family)
+    consistent = harness._consistent_with_ranking(picked, family.revealed)
+    return {
+        "family": "query",
+        "n": n,
+        "k": k,
+        "t": t,
+        "m": family.m,
+        "algorithm": algorithm,
+        "budget": budget,
+        "instance": picked.to_json(),
+        "pair_bound": format_value(pair_bound),
+        "cap": format_value(cap),
+        "measured_alpha": format_value(measured),
+        "consistent": consistent,
+        "pass": consistent and measured <= cap,
+    }

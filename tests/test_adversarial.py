@@ -35,6 +35,9 @@ def test_ordinal_family_values():
 def test_ordinal_family_domain():
     with pytest.raises(DomainError):
         ordinal_lb_build(3, 5)  # m must exceed n + 2
+    for n in (1, 0, -1):  # no top good to withhold
+        with pytest.raises(DomainError, match="n >= 2"):
+            ordinal_lb_build(n, 12)
 
 
 def test_rrla_on_all_ones_hits_bound():

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from efxlab import (
     BudgetExceeded,
+    DomainError,
     Instance,
     QueryOracle,
     Transcript,
@@ -46,6 +47,14 @@ def test_budget_fail_fast():
     # The failed query is not charged and dedup still answers the first.
     assert o.snapshot_counts()[1] == 1
     assert o.query(1, 0) == 3
+
+
+def test_negative_budget_rejected():
+    with pytest.raises(DomainError, match="budget must be >= 0, got -1"):
+        make_oracle([[1, 2], [3, 4]], budget=-1)
+    o = make_oracle([[1, 2], [3, 4]], budget=0)
+    with pytest.raises(BudgetExceeded):
+        o.query(0, 0)
 
 
 def test_ordinal_view_free_and_stable():

@@ -299,6 +299,29 @@ def test_cli_gen_zero_agents_exits_2(capsys):
         assert "n >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [(["adversary", "--family", "ordinal", "--n", "1", "--m", "12", "--alg", "rrla"], "n >= 2"),
+     (["adversary", "--family", "query", "--n", "2", "--k", "2", "--t", "3", "--alg", "rrla",
+       "--budget", "-1"], "budget must be >= 0"),
+     (["gen", "--n", "-2", "--m", "3"], "need n >= 1, got n=-2"),
+     (["gen", "--kind", "bivalued", "--n", "0", "--m", "3"], "need n >= 1, got n=0"),
+     (["gen", "--n", "3", "--m", "-2"], "need m >= 1, got m=-2")],
+    ids=["ordinal-one-agent", "query-negative-budget", "gen-negative-n", "gen-zero-n",
+         "gen-negative-m"],
+)
+def test_cli_malformed_arguments_exit_2(capsys, argv, message):
+    assert main(argv) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+
+
+def test_cli_run_negative_budget_exits_2(tmp_path, capsys):
+    path = str(tmp_path / "inst.json")
+    main(["gen", "--kind", "uniform", "--n", "2", "--m", "6", "--out", path])
+    assert main(["run", "--instance", path, "--alg", "rrla", "--budget", "-1"]) == EXIT_VALIDATION
+    assert "budget must be >= 0, got -1" in capsys.readouterr().err
+
+
 def cli_session(tmp_path, fresh_parser: bool) -> list[tuple[int, str, str]]:
     """Exit code, stdout and stderr of one call of every subcommand, with an
     argparse error in the middle; a run record's wall_time is dropped."""

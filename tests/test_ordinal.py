@@ -47,14 +47,6 @@ def test_round_robin_subset_pool_and_participants():
     assert not a.complete
 
 
-def test_round_robin_custom_order():
-    o = oracle_for([[2, 1], [2, 1]])
-    a = round_robin(o, order=[1, 0])
-    assert [sorted(b) for b in a.bundles] == [[1], [0]]
-    with pytest.raises(DomainError):
-        round_robin(oracle_for([[1], [1]]), order=[0])
-
-
 def test_round_robin_empty_participants():
     with pytest.raises(DomainError):
         round_robin(oracle_for([[1], [1]]), participants=[])
