@@ -156,6 +156,11 @@ def query_adversary_complete(
         raise DomainError("adversary requires a complete allocation")
     queried: dict[int, set[int]] = {i: set() for i in range(family.n)}
     for agent, good, value in transcript.entries:
+        if not (0 <= agent < family.n and 0 <= good < family.m):
+            raise DomainError(
+                f"transcript asks v_{agent}(g{good}), outside the family's "
+                f"{family.n} agents and {family.m} goods"
+            )
         x, scale = int(revealed.scaled_values[agent, good]), revealed.scales[agent]
         if value.numerator * scale != x * value.denominator:
             raise InconsistentTranscript(

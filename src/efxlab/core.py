@@ -79,13 +79,25 @@ def _scale_row(row: Sequence[Value]) -> tuple[list[int], int]:
 
 
 def _parse_row(row: Sequence[object]) -> tuple[list[int], int]:
-    """One JSON row of values in the integer form: a list of plain decimal
-    integer text is read straight into ints (scale 1); any other row goes
-    through :func:`parse_value` and :func:`_scale_row`."""
+    """One JSON row of values in the integer form. A list of ASCII text
+    entries ``p`` or ``p/q`` (decimal digits, q > 0) is read straight into
+    ints: the row over the least common multiple of its denominators,
+    reduced to lowest terms; plain integer rows have scale 1. Any other row
+    goes through :func:`parse_value` and :func:`_scale_row`."""
     if type(row) is list:
         try:
-            if "".join(row).isascii() and all(map(str.isdigit, row)):
-                return list(map(int, row)), 1
+            if "".join(row).isascii():
+                if all(map(str.isdigit, row)):
+                    return list(map(int, row)), 1
+                parts = [v.partition("/") for v in row]
+                if all(p.isdigit() and (q.isdigit() or not slash) for p, slash, q in parts):
+                    dens = [int(q or 1) for _, _, q in parts]
+                    if all(dens):
+                        scale = math.lcm(*dens)
+                        factor = {d: scale // d for d in set(dens)}
+                        scaled = [int(p) * factor[d] for (p, _, _), d in zip(parts, dens)]
+                        divisor = math.gcd(scale, *scaled)
+                        return [x // divisor for x in scaled], scale // divisor
         except (TypeError, ValueError):  # an entry that is not text, or too many digits
             pass
     return _scale_row([parse_value(v) for v in row])
@@ -107,11 +119,15 @@ def _int_matrix(rows: list[list[int]], n: int, m: int) -> np.ndarray:
         raise DomainError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
     if len(rows) != n or any(len(row) != m for row in rows):
         raise DomainError("values matrix must be n x m")
-    if min(map(min, rows)) < 0:
+    try:
+        matrix = np.array(rows, dtype=np.int64)
+    except OverflowError:  # an entry beyond int64
+        matrix = np.array(rows, dtype=object)
+    if matrix.min() < 0:
         raise DomainError("values must be non-negative")
-    top = max(map(max, rows))
-    overflows = top and (top * m) ** 2 >= 2**62
-    matrix = np.array(rows, dtype=object if overflows else np.int64)
+    top = int(matrix.max())
+    if top and (top * m) ** 2 >= 2**62:
+        matrix = matrix.astype(object, copy=False)
     matrix.flags.writeable = False
     return matrix
 
@@ -274,8 +290,8 @@ class Instance:
     @staticmethod
     def from_json(data: dict) -> "Instance":
         """The instance of ``{"n", "m", "values", "bivalued"?}``: each value is
-        read by :func:`parse_value`; rows of plain integer text skip the
-        ``Fraction``s."""
+        read by :func:`parse_value`; rows of plain ``p`` or ``p/q`` text skip
+        the ``Fraction``s."""
         try:
             scaled = [_parse_row(row) for row in data["values"]]
             meta = None
@@ -436,51 +452,57 @@ def fairness_report(instance: Instance, allocation: Allocation) -> FairnessRepor
     factor.
     """
     validate(instance, allocation)
-    n, m = instance.n, instance.m
+    n = instance.n
     values = instance.scaled_values
-    owner = np.full(m, -1)
-    for j, bundle in enumerate(allocation.bundles):
-        owner[list(bundle)] = j
-
-    # [viewer i][bundle j]: v_i(X_j), and the lowest-index least and most
-    # valuable good of X_j under v_i (unset for empty bundles).
-    sums = np.zeros((n, n), dtype=values.dtype)
-    min_good = np.zeros((n, n), dtype=np.int64)
-    max_good = np.zeros((n, n), dtype=np.int64)
-    for j, bundle in enumerate(allocation.bundles):
-        if bundle:
-            goods = np.flatnonzero(owner == j)
-            block = values[:, goods]
-            sums[:, j] = block.sum(axis=1)
-            min_good[:, j] = goods[block.argmin(axis=1)]
-            max_good[:, j] = goods[block.argmax(axis=1)]
-    min_value = np.take_along_axis(values, min_good, axis=1).tolist()
-    max_value = np.take_along_axis(values, max_good, axis=1).tolist()
-    sums_l, min_good_l, max_good_l = sums.tolist(), min_good.tolist(), max_good.tolist()
+    bundles = allocation.bundles
+    filled = [j for j, bundle in enumerate(bundles) if bundle]
+    if not filled:  # no pair constrains
+        return FairnessReport(Fraction(1), Fraction(1))
+    # [viewer i][c]: v_i of the c-th nonempty bundle X_j (j = filled[c]), and
+    # the least and greatest value v_i takes on it, from one pass over the
+    # goods grouped by bundle.
+    sizes = [len(bundles[j]) for j in filled]
+    grouped = np.fromiter(itertools.chain.from_iterable(bundles), np.intp, sum(sizes))
+    block = values[:, grouped]
+    starts = np.cumsum([0] + sizes[:-1])
+    sums, least, most = (
+        ufunc.reduceat(block, starts, axis=1).tolist() for ufunc in (np.add, np.minimum, np.maximum)
+    )
+    own = [0] * n
+    for c, j in enumerate(filled):
+        own[j] = sums[j][c]
 
     # Factors as (numerator, denominator) pairs of one agent's scaled ints,
     # compared by cross-multiplication; both capped factors start at 1.
     efx, ef1 = (1, 1), (1, 1)
     raw_efx: Optional[tuple[int, int]] = None
-    efx_binding: Optional[tuple[int, int, int]] = None
-    ef1_binding: Optional[tuple[int, int, int]] = None
+    efx_pair: Optional[tuple[int, int]] = None
+    ef1_pair: Optional[tuple[int, int]] = None
     for i in range(n):
-        own = sums_l[i][i]
-        for j in range(n):
-            if j == i or not allocation.bundles[j]:
+        mine = own[i]
+        for c, j in enumerate(filled):
+            if j == i:
                 continue
-            efx_den = sums_l[i][j] - min_value[i][j]
+            efx_den = sums[i][c] - least[i][c]
             if efx_den > 0:
-                if raw_efx is None or own * raw_efx[1] < raw_efx[0] * efx_den:
-                    raw_efx = (own, efx_den)
-                if own * efx[1] < efx[0] * efx_den:
-                    efx = (own, efx_den)
-                    efx_binding = (i, j, min_good_l[i][j])
-            ef1_den = sums_l[i][j] - max_value[i][j]
-            if ef1_den > 0 and own * ef1[1] < ef1[0] * ef1_den:
-                ef1 = (own, ef1_den)
-                ef1_binding = (i, j, max_good_l[i][j])
+                if raw_efx is None or mine * raw_efx[1] < raw_efx[0] * efx_den:
+                    raw_efx = (mine, efx_den)
+                if mine * efx[1] < efx[0] * efx_den:
+                    efx, efx_pair = (mine, efx_den), (i, c)
+            ef1_den = sums[i][c] - most[i][c]
+            if ef1_den > 0 and mine * ef1[1] < ef1[0] * ef1_den:
+                ef1, ef1_pair = (mine, ef1_den), (i, c)
 
+    def binding(pair: Optional[tuple[int, int]], extreme: list) -> Optional[tuple[int, int, int]]:
+        """(i, j, lowest-index good of X_j that v_i values at the extreme)."""
+        if pair is None:
+            return None
+        i, c = pair
+        goods = np.array(sorted(bundles[filled[c]]))
+        return i, filled[c], int(goods[(values[i, goods] == extreme[i][c]).argmax()])
+
+    efx_binding = binding(efx_pair, least)
+    ef1_binding = binding(ef1_pair, most)
     return FairnessReport(
         Fraction(*efx),
         Fraction(*ef1),

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress
+from operator import add, lt
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -153,19 +155,24 @@ def best_alpha_bruteforce(instance: Instance) -> tuple[Value, Allocation]:
     return best, _allocation_at(best_at, n, m)
 
 
-def _common_scale(instance: Instance) -> np.ndarray:
-    """The value matrix with every agent's row on one common integer scale.
+def _top_values(instance: Instance) -> list[int]:
+    """Each good's greatest value over the agents, as ints on one common scale.
 
     ``scaled_values`` scales each row by its own factor ``scales[i]``, so
-    values of different agents can be compared only after bringing the rows
-    to the least common multiple of those factors.
+    values of different agents compare only on the least common multiple of
+    those factors. Rows that share a scale compare directly: each such group
+    is reduced first, and only the group maxima are brought to the common
+    scale.
     """
     scaled = instance.scaled_values
-    common = math.lcm(*instance.scales)
-    if common == 1:
-        return scaled
-    multipliers = np.array([common // s for s in instance.scales], dtype=object)
-    return scaled.astype(object) * multipliers[:, None]
+    groups: dict[int, list[int]] = {}
+    for i, scale in enumerate(instance.scales):
+        groups.setdefault(scale, []).append(i)
+    if len(groups) == 1:
+        return scaled.max(axis=0).tolist()
+    common = math.lcm(*groups)
+    tops = [scaled[rows].max(axis=0).astype(object) * (common // s) for s, rows in groups.items()]
+    return np.maximum.reduce(tops).tolist()
 
 
 def envy_cycle_heuristic(instance: Instance) -> Allocation:
@@ -175,61 +182,72 @@ def envy_cycle_heuristic(instance: Instance) -> Allocation:
     agents (ties by index); the lowest-index unenvied agent receives, and
     when everyone is envied the cycle reachable from the lowest-index agent
     is rotated. The output is always complete.
+
+    Worths are exact Python ints kept column by column: ``cols[j][i]`` is
+    v_i(X_j) on agent i's own integer scale and ``diag[i]`` is v_i(X_i), so a
+    good is added to a bundle by one list-wide sum and the agents envying a
+    bundle are one comparison against the diagonal.
     """
-    n = instance.n
-    order = np.argsort(-_common_scale(instance).max(axis=0), kind="stable").tolist()
-    rows = instance.scaled_values.tolist()
-    bundles: list[set[int]] = [set() for _ in range(n)]
-    # worth[i][j] = v_i(X_j) on agent i's own integer scale, kept incrementally.
-    worth = [[0] * n for _ in range(n)]
-
-    def envies(i: int, j: int) -> bool:
-        return worth[i][i] < worth[i][j]
-
-    def count_enviers(j: int) -> int:
-        # No agent envies herself, so the sum needs no i != j filter.
-        return sum(worth[i][i] < worth[i][j] for i in range(n))
-
-    # enviers[j] = number of agents envying agent j, kept in step with worth.
+    n, m = instance.n, instance.m
+    # A stable sort keeps tied goods in index order, reversed or not.
+    order = sorted(range(m), key=_top_values(instance).__getitem__, reverse=True)
+    goods = instance.scaled_values.T.tolist()
+    agents = range(n)
+    bundles: list[list[int]] = [[] for _ in agents]
+    cols = [[0] * n for _ in agents]
+    diag = [0] * n
+    # envy[i]: the agents i envies; enviers[j]: how many agents envy j.
+    envy: list[set[int]] = [set() for _ in agents]
     enviers = [0] * n
-    for g in order:
-        target = next((j for j in range(n) if not enviers[j]), None)
-        while target is None:
+
+    def rotate_until_unenvied() -> int:
+        """Rotate envy cycles until some agent is unenvied; the lowest such."""
+        while 0 not in enviers:
             # Every agent is envied, so every node has an incoming envy edge;
-            # walking those edges backwards from agent 0 must revisit a node,
-            # closing a cycle. The cycle list is ordered along envy direction.
+            # walking to the lowest-index envier from agent 0 must revisit a
+            # node, closing a cycle. The cycle list is ordered along envy
+            # direction: cycle[t] envies cycle[t + 1].
             path = [0]
             pos = {0: 0}
             while True:
-                cur = path[-1]
-                prev = next(i for i in range(n) if i != cur and envies(i, cur))
+                prev = next(compress(agents, map(lt, diag, cols[path[-1]])))
                 if prev in pos:
                     cycle = [prev] + path[: pos[prev] : -1]
                     break
                 pos[prev] = len(path)
                 path.append(prev)
-            rotated = [bundles[cycle[(t + 1) % len(cycle)]] for t in range(len(cycle))]
-            for t, agent in enumerate(cycle):
-                bundles[agent] = rotated[t]
-            for i in range(n):
-                new_worth = [worth[i][j] for j in range(n)]
-                for t, agent in enumerate(cycle):
-                    new_worth[agent] = worth[i][cycle[(t + 1) % len(cycle)]]
-                worth[i] = new_worth
-            enviers = [count_enviers(j) for j in range(n)]
-            target = next((j for j in range(n) if not enviers[j]), None)
-        # The good changes column ``target`` of worth: the target's own
-        # worth can only end her envy of others, and others may start to
-        # envy her.
-        own = worth[target][target]
-        envied_by_target = [j for j, w in enumerate(worth[target]) if own < w]
-        bundles[target].add(g)
-        for i in range(n):
-            worth[i][target] += rows[i][g]
-        for j in envied_by_target:
-            if not envies(target, j):
-                enviers[j] -= 1
-        enviers[target] = count_enviers(target)
+            # cycle[t] takes the bundle, and so the worth column, of cycle[t + 1].
+            takes = cycle[1:] + cycle[:1]
+            moved = [(cols[j], bundles[j]) for j in takes]
+            for agent, (col, bundle) in zip(cycle, moved):
+                cols[agent], bundles[agent] = col, bundle
+            diag[:] = [col[i] for i, col in enumerate(cols)]
+            for mine in envy:
+                mine.clear()
+            for j, col in enumerate(cols):
+                rivals = list(compress(agents, map(lt, diag, col)))
+                enviers[j] = len(rivals)
+                for i in rivals:
+                    envy[i].add(j)
+        return enviers.index(0)
 
-    return Allocation(tuple(frozenset(b) for b in bundles), complete=True)
+    for g in order:
+        try:
+            target = enviers.index(0)
+        except ValueError:
+            target = rotate_until_unenvied()
+        bundles[target].append(g)
+        col = cols[target] = list(map(add, cols[target], goods[g]))
+        # The target's own worth can only end her envy of others, and
+        # others may start to envy her.
+        own = diag[target] = col[target]
+        mine = envy[target]
+        for j in [j for j in mine if cols[j][target] <= own]:
+            mine.discard(j)
+            enviers[j] -= 1
+        rivals = list(compress(agents, map(lt, diag, col)))
+        enviers[target] = len(rivals)
+        for i in rivals:
+            envy[i].add(target)
 
+    return Allocation(tuple(map(frozenset, bundles)), complete=True)

@@ -117,7 +117,8 @@ def virtual_instance(
     value), then zeros.
 
     A row takes at most n-1+k values besides 0, so it is put on the least
-    common multiple of their denominators directly.
+    common multiple of their denominators directly, and written one run of
+    equal values at a time; the trailing zeros are never touched.
     """
     profile = oracle.ordinal_view()
     m = oracle.m
@@ -132,13 +133,13 @@ def virtual_instance(
                 runs.append((anchor * vv.thresholds[level], bound + 1 - start))
                 start = bound + 1
         scale = math.lcm(*(v.denominator for v, _ in runs))
-        by_rank: list[int] = []
-        for v, count in runs:
-            by_rank += [v.numerator * (scale // v.denominator)] * count
-        by_rank += [0] * (m - start)
         row = [0] * m
-        for g, x in zip(ranking, by_rank):
-            row[g] = x
+        pos = 0
+        for v, count in runs:
+            x = v.numerator * (scale // v.denominator)
+            for g in ranking[pos : pos + count]:
+                row[g] = x
+            pos += count
         rows.append(row)
         scales.append(scale)
     return Instance.from_scaled(rows, scales)

@@ -1,5 +1,6 @@
 """Reference copies of replaced implementations: the pure-``Fraction``
 ranking, fairness report, match-freeze rounds and envy-cycle heuristic, the
+integer envy cycle with its row-major worth table, the
 exhaustive oracles' per-call row scaling and their chunked enumeration, the
 ``Fraction``-row builds of the ``virtual_efx`` proxy and mfrr's uncovered
 instance, the recursive matching, the root enclosure bisected in
@@ -223,7 +224,13 @@ def match_freeze_round(instance: Instance, participants: Sequence[int], state) -
                 state.freeze_counters[j] = duration
 
 
+# Bundle rotations made by the last call of envy_cycle_heuristic below.
+rotations = 0
+
+
 def envy_cycle_heuristic(instance: Instance) -> Allocation:
+    global rotations
+    rotations = 0
     n, m = instance.n, instance.m
     order = sorted(
         range(m), key=lambda g: (min(-instance.values[i][g] for i in range(n)), g)
@@ -253,6 +260,7 @@ def envy_cycle_heuristic(instance: Instance) -> Allocation:
                     break
                 pos[prev] = len(path)
                 path.append(prev)
+            rotations += 1
             rotated = [bundles[cycle[(t + 1) % len(cycle)]] for t in range(len(cycle))]
             for t, agent in enumerate(cycle):
                 bundles[agent] = rotated[t]
@@ -265,6 +273,83 @@ def envy_cycle_heuristic(instance: Instance) -> Allocation:
         bundles[target].add(g)
         for i in range(n):
             worth[i][target] += instance.values[i][g]
+
+    return Allocation(tuple(frozenset(b) for b in bundles), complete=True)
+
+
+def common_scale(instance: Instance) -> np.ndarray:
+    """The value matrix with every agent's row on one common integer scale.
+
+    ``scaled_values`` scales each row by its own factor ``scales[i]``, so
+    values of different agents can be compared only after bringing the rows
+    to the least common multiple of those factors.
+    """
+    scaled = instance.scaled_values
+    common = math.lcm(*instance.scales)
+    if common == 1:
+        return scaled
+    multipliers = np.array([common // s for s in instance.scales], dtype=object)
+    return scaled.astype(object) * multipliers[:, None]
+
+
+def envy_cycle_integer(instance: Instance) -> Allocation:
+    """The former integer envy cycle: an n x n row-major worth table on each
+    agent's own scale, envier counts rebuilt by Python scans, and the goods
+    order from the whole matrix brought to one common scale."""
+    n = instance.n
+    order = np.argsort(-common_scale(instance).max(axis=0), kind="stable").tolist()
+    rows = instance.scaled_values.tolist()
+    bundles: list[set[int]] = [set() for _ in range(n)]
+    # worth[i][j] = v_i(X_j) on agent i's own integer scale, kept incrementally.
+    worth = [[0] * n for _ in range(n)]
+
+    def envies(i: int, j: int) -> bool:
+        return worth[i][i] < worth[i][j]
+
+    def count_enviers(j: int) -> int:
+        # No agent envies herself, so the sum needs no i != j filter.
+        return sum(worth[i][i] < worth[i][j] for i in range(n))
+
+    # enviers[j] = number of agents envying agent j, kept in step with worth.
+    enviers = [0] * n
+    for g in order:
+        target = next((j for j in range(n) if not enviers[j]), None)
+        while target is None:
+            # Every agent is envied, so every node has an incoming envy edge;
+            # walking those edges backwards from agent 0 must revisit a node,
+            # closing a cycle. The cycle list is ordered along envy direction.
+            path = [0]
+            pos = {0: 0}
+            while True:
+                cur = path[-1]
+                prev = next(i for i in range(n) if i != cur and envies(i, cur))
+                if prev in pos:
+                    cycle = [prev] + path[: pos[prev] : -1]
+                    break
+                pos[prev] = len(path)
+                path.append(prev)
+            rotated = [bundles[cycle[(t + 1) % len(cycle)]] for t in range(len(cycle))]
+            for t, agent in enumerate(cycle):
+                bundles[agent] = rotated[t]
+            for i in range(n):
+                new_worth = [worth[i][j] for j in range(n)]
+                for t, agent in enumerate(cycle):
+                    new_worth[agent] = worth[i][cycle[(t + 1) % len(cycle)]]
+                worth[i] = new_worth
+            enviers = [count_enviers(j) for j in range(n)]
+            target = next((j for j in range(n) if not enviers[j]), None)
+        # The good changes column ``target`` of worth: the target's own
+        # worth can only end her envy of others, and others may start to
+        # envy her.
+        own = worth[target][target]
+        envied_by_target = [j for j, w in enumerate(worth[target]) if own < w]
+        bundles[target].add(g)
+        for i in range(n):
+            worth[i][target] += rows[i][g]
+        for j in envied_by_target:
+            if not envies(target, j):
+                enviers[j] -= 1
+        enviers[target] = count_enviers(target)
 
     return Allocation(tuple(frozenset(b) for b in bundles), complete=True)
 

@@ -146,6 +146,15 @@ def test_adversary_rejects_inconsistent_transcript():
         query_adversary_complete(fam, bad, a)
 
 
+@pytest.mark.parametrize("agent,good", [(-1, 0), (2, 0), (0, 8), (0, -1), (0, 99)])
+def test_adversary_rejects_transcript_outside_the_family(agent, good):
+    fam = query_lb_build(2, 2, 2)  # n = 2, m = 8
+    a = Allocation.from_bundles([[0], [1, 2, 3, 4, 5, 6, 7]])
+    bad = Transcript(((agent, good, Fraction(0)),))
+    with pytest.raises(DomainError, match="outside the family"):
+        query_adversary_complete(fam, bad, a)
+
+
 def _ranking_consistent(instance, reference):
     profile = build_ranking(reference)
     for i in range(instance.n):

@@ -204,6 +204,8 @@ def test_from_rows_int_rows_are_stored_as_given():
         ([[1, 2]], (1, 1)),  # one scale per row
         ([[1, 2], [3]], (1, 1)),  # ragged
         ([[1, -2]], (1,)),  # negative
+        ([[1, -(2**70)]], (1,)),  # negative, beyond int64
+        ([[2**70, -1]], (1,)),
         ([[1, 2.0]], (1,)),  # not an int
         ([[1, True]], (1,)),
         ([[1, 2]], (0,)),  # scale not positive

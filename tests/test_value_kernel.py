@@ -41,7 +41,7 @@ from efxlab import (
     validate,
     virtual_instance,
 )
-from efxlab import bivalued, elicitation, harness, query_enhanced
+from efxlab import bivalued, core, elicitation, harness, query_enhanced
 from efxlab.bivalued import MatchFreezeState
 
 # Values whose scaled rows overflow the int64 rule and take the object path.
@@ -226,10 +226,113 @@ def test_fairness_report_matches_reference(data):
     assert fairness_report(instance, allocation) == ref.fairness_report(instance, allocation)
 
 
-@settings(max_examples=150, deadline=None)
-@given(instances())
+@pytest.mark.parametrize(
+    "rows,bundles,complete",
+    [
+        ([[3, 1, 2]], [[0, 2]], False),  # n = 1, incomplete
+        ([[3, 1, 2]], [[0, 1, 2]], True),  # n = 1
+        ([[1, 2], [2, 1]], [[], []], False),  # every bundle empty
+        ([[1, 2, 5], [2, 1, 0], [0, 0, 4]], [[], [0, 1], [2]], True),  # one empty bundle
+        ([[5, 1, 1, 9], [1, 2, 3, 0]], [[0], [1, 2]], False),  # incomplete, raw ratio 5
+        ([[1, 3, 3, 0], [2, 1, 1, 7]], [[0], [1, 2]], False),  # incomplete, factor 1/3
+        ([[0, 0, 0, 0], [0, 1, 1, 1]], [[0], [1, 2, 3]], True),  # nobody values X_0
+        # Ties: agent 0 values goods 1, 2, 3 of X_1 alike, so the binding
+        # removed good is the lowest index, 1, for both EFX and EF1.
+        ([[1, 4, 4, 4], [1, 1, 1, 1]], [[0], [3, 2, 1]], True),
+        ([[1, 5, 2, 5, 2], [1, 1, 1, 1, 1]], [[0], [4, 3, 2, 1]], True),
+        ([[Fraction(1, 3), 4, 4, Fraction(1, 2)], [BIG, 1, 1, 1]], [[0, 3], [2, 1]], True),
+    ],
+)
+def test_fairness_report_edge_cases_match_reference(rows, bundles, complete):
+    instance = Instance.from_rows(rows)
+    allocation = Allocation.from_bundles(bundles, complete)
+    assert fairness_report(instance, allocation) == ref.fairness_report(instance, allocation)
+
+
+def test_fairness_report_binds_the_lowest_index_extreme_good():
+    instance = Instance.from_rows([[1, 4, 4, 4, 2, 2], [1, 1, 1, 1, 1, 1]])
+    allocation = Allocation.from_bundles([[0], [5, 3, 2, 1, 4]])
+    report = fairness_report(instance, allocation)
+    assert report.efx_binding == (0, 1, 4)  # goods 4 and 5 are the least
+    assert report.ef1_binding == (0, 1, 1)  # goods 1-3 are the greatest
+    assert report == ref.fairness_report(instance, allocation)
+
+
+@st.composite
+def envy_cycle_instances(draw):
+    """n <= 12 and m <= 80 (n = 1 and m < n included), int64 or object
+    rows, all on scale 1 or on mixed scales, with tied maxima, zero rows and
+    zero columns likely."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 80))
+    top = draw(st.sampled_from((1, 3, 50, BIG)))
+    denominators = (1,) if draw(st.booleans()) else (1, 2, 3, 7, 10**13)
+    zero_goods = draw(st.sets(st.integers(0, m - 1), max_size=m // 4))
+    rows = []
+    for _ in range(n):
+        if draw(st.integers(0, 7)) == 0:
+            rows.append([0] * m)
+            continue
+        den = draw(st.sampled_from(denominators))
+        raw = draw(st.lists(st.integers(0, top), min_size=m, max_size=m))
+        rows.append([0 if g in zero_goods else Fraction(x, den) for g, x in enumerate(raw)])
+    return Instance.from_rows(rows)
+
+
+def assert_envy_cycle_matches_references(instance):
+    allocation = envy_cycle_heuristic(instance)
+    assert allocation == ref.envy_cycle_heuristic(instance)
+    assert allocation == ref.envy_cycle_integer(instance)
+
+
+@settings(max_examples=300, deadline=None)
+@given(envy_cycle_instances())
 def test_envy_cycle_matches_reference(instance):
-    assert envy_cycle_heuristic(instance) == ref.envy_cycle_heuristic(instance)
+    assert_envy_cycle_matches_references(instance)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(("uniform", "bivalued")),
+    st.integers(1, 12),
+    st.integers(0, 68),
+    st.integers(1, 3),
+    st.integers(0, 10**6),
+)
+def test_envy_cycle_matches_reference_on_proxies(kind, n, extra, k, seed):
+    """The ``virtual_efx`` proxies, the black box's real input."""
+    oracle = QueryOracle(harness.generate_instance(kind, n, n + extra, seed=seed))
+    virtuals = [bucketize(oracle, i, k) for i in range(n)]
+    assert_envy_cycle_matches_references(virtual_instance(oracle, virtuals))
+
+
+def test_envy_cycle_strategy_reaches_every_branch():
+    """Both goods-order branches (one scale, mixed scales) and both dtypes."""
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(envy_cycle_instances())
+    def collect(instance):
+        seen.add((len(set(instance.scales)) == 1, instance.scaled_values.dtype == object))
+
+    collect()
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_envy_cycle_rotates_like_the_reference():
+    instance = Instance.from_rows(
+        [
+            [0, 5, 2, 8, 2, 0, 4, 7],
+            [0, 5, 3, 1, 6, 7, 9, 6],
+            [0, 2, 3, 9, 6, 3, 0, 2],
+            [6, 9, 0, 3, 3, 8, 8, 5],
+        ]
+    )
+    assert_envy_cycle_matches_references(instance)
+    assert ref.rotations >= 3
+    assert envy_cycle_heuristic(instance).to_json() == {
+        "bundles": [[3], [6, 7], [1, 2, 4], [0, 5]]
+    }
 
 
 @settings(max_examples=150, deadline=None)
@@ -293,16 +396,24 @@ def test_matching_long_augmenting_chain():
 
 # ---- instance JSON, validation and the adversarial families ------------
 
-# JSON values of every kind: plain integer text (the fast path), other text
-# parse_value accepts or rejects, and non-text JSON values. Rows are either
-# all plain integer text or drawn from every kind.
+# JSON values of every kind: plain integer text and ASCII "p/q" text (the
+# fast paths), other text parse_value accepts or rejects, and non-text JSON
+# values. Rows are all plain integer text, all "p" or "p/q" text (leading
+# zeros and zero denominators included), or drawn from every kind.
 plain_text = st.integers(0, 10**30).map(str)
+digit_text = st.one_of(plain_text, st.integers(0, 99).map("{:04d}".format))
+ratio_text = st.one_of(
+    plain_text,
+    st.builds("{}/{}".format, digit_text, st.one_of(st.just("0"), digit_text)),
+    st.builds("{}/{}".format, st.integers(0, 40), st.sampled_from((1, 2, 3, 4, 6, 12, 10**13))),
+)
 json_values = st.one_of(
     plain_text,
     st.fractions(min_value=-5, max_value=10**6, max_denominator=10**4).map(str),
+    ratio_text,
     st.sampled_from(
         ["", " 7", "7 ", "+3", "-0", "0007", "1_000", "1e3", "2.50", ".5", "3/0",
-         "1 / 2", "1/-2", "\u0663", "\u00b2", "x", "nan", "inf", "True", "1" * 5000]
+         "1 / 2", "1/-2", "1/2/3", "/2", "2/", "+1/2", "1/+2", "1/2 ", "\u0663", "\u00b2", "x", "nan", "inf", "True", "1" * 5000]
     ),
     st.text(max_size=3),
     st.integers(-5, 10**30),
@@ -321,10 +432,14 @@ def result_or_error(call, arg):
         return type(exc)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(
     st.lists(
-        st.one_of(st.lists(plain_text, max_size=4), st.lists(json_values, max_size=4)),
+        st.one_of(
+            st.lists(plain_text, max_size=4),
+            st.lists(ratio_text, max_size=4),
+            st.lists(json_values, max_size=4),
+        ),
         max_size=3,
     ),
     st.sampled_from((0, 0, 0, -1, 1)),
@@ -344,6 +459,27 @@ def test_from_json_accepts_and_rejects_like_parse_value(rows, dn, dm, bivalued):
         assert new.scales == old.scales
         assert new.scaled_values.dtype == old.scaled_values.dtype
         assert json.dumps(new.to_json()) == json.dumps(ref.instance_to_json(old))
+
+
+@pytest.mark.parametrize(
+    "entry", ["1/+2", "1/ 2", "1/-2", "1/2 ", " 1/2", "1/2_0", "1_0/2", "1/0", "0/0", "/2", "2/", "1//2",
+              "1/2/3", "1/\u0662", "0x1/2", "1/2.0", "1.5/2", "+1/2"],
+)
+def test_from_json_ratio_text_edge_entries_match_parse_value(entry):
+    data = {"n": 1, "m": 2, "values": [["3/4", entry]]}
+    new = result_or_error(Instance.from_json, data)
+    old = result_or_error(ref.instance_from_json, data)
+    assert new == old if not isinstance(old, type) else new is old
+
+
+def test_from_json_reads_ratio_text_without_fractions():
+    data = {"n": 2, "m": 3, "values": [["1/2", "3", "0004/6"], ["0", "0/5", "10/4"]]}
+    with mock.patch.object(core, "parse_value", side_effect=AssertionError):
+        instance = Instance.from_json(data)
+    assert instance.scales == (6, 2)
+    assert instance.scaled_values.tolist() == [[3, 18, 4], [0, 0, 5]]
+    with pytest.raises(DomainError, match="not a rational value"):
+        Instance.from_json({"n": 1, "m": 2, "values": [["1/2", "1/0"]]})
 
 
 @settings(max_examples=100, deadline=None)
