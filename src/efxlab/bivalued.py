@@ -26,7 +26,7 @@ from .core import (
     trivial_few_goods_allocation,
 )
 from .elicitation import QueryOracle
-from .query_enhanced import PRRParams, prr
+from .query_enhanced import PRRParams, _ranked_instance, prr
 
 
 class NotBivalued(FairDivisionError):
@@ -176,27 +176,45 @@ def match_freeze_round(
                 state.freeze_counters[j] = duration
 
 
-def match_and_freeze(instance: Instance) -> Allocation:
-    """Full run of the matching-with-freezing procedure over all goods.
+def _match_freeze_run(
+    instance: Instance,
+    matched: Sequence[int],
+    flat: Sequence[int] = (),
+    rankings: Sequence[Sequence[int]] = (),
+) -> Allocation:
+    """Allocate every good in rounds: one :func:`match_freeze_round` for the
+    ``matched`` agents, then one pick of her top remaining good (along
+    ``rankings``) for each ``flat`` agent in turn."""
+    state = MatchFreezeState(
+        freeze_counters=[0] * instance.n,
+        pool=set(range(instance.m)),
+        bundles=[set() for _ in range(instance.n)],
+    )
+    cursor = [0] * instance.n
+    while state.pool:
+        if matched:
+            match_freeze_round(instance, matched, state)
+        for i in flat:
+            if not state.pool:
+                break
+            pos = cursor[i]
+            ranking = rankings[i]
+            while ranking[pos] not in state.pool:
+                pos += 1
+            cursor[i] = pos + 1
+            state.bundles[i].add(ranking[pos])
+            state.pool.discard(ranking[pos])
+    return Allocation.from_bundles(state.bundles)
 
-    Callers that own the loop use :func:`match_freeze_round` instead.
-    """
+
+def match_and_freeze(instance: Instance) -> Allocation:
+    """Full run of the matching-with-freezing procedure over all goods."""
     if instance.bivalued_meta is None:
         raise NotBivalued("instance has no bivalued metadata")
     for i, (_, low) in enumerate(instance.bivalued_meta):
         if low == 0:
             raise ZeroLowValue(f"agent {i} has low value 0")
-    agents = list(range(instance.n))
-    run_state = MatchFreezeState(
-        freeze_counters=[0] * instance.n,
-        pool=set(range(instance.m)),
-        bundles=[set() for _ in range(instance.n)],
-    )
-    while run_state.pool:
-        match_freeze_round(instance, agents, run_state)
-    return Allocation(
-        tuple(frozenset(b) for b in run_state.bundles), complete=True
-    )
+    return _match_freeze_run(instance, list(range(instance.n)))
 
 
 @dataclass(frozen=True)
@@ -251,28 +269,18 @@ def _uncovered_instance(
     Agents without a transition get an all-zero placeholder row; the
     matching rounds never look at those rows.
     """
-    profile = oracle.ordinal_view()
-    n, m = oracle.n, oracle.m
-    rows, scales, meta = [], [], []
-    for i in range(n):
+    rows, meta = [], []
+    for i in range(oracle.n):
         info = transitions.get(i)
         if info is None:
-            rows.append([0] * m)
-            scales.append(1)
+            rows.append((0, []))
             meta.append((Fraction(1), Fraction(0)))
-            continue
-        # Both values occur (the drop is at rank 2..n <= m), so the row is in
-        # lowest terms on the least common multiple of their denominators.
-        scale = math.lcm(info.high.denominator, info.low.denominator)
-        high = info.high.numerator * (scale // info.high.denominator)
-        low = info.low.numerator * (scale // info.low.denominator)
-        row = [low] * m
-        for g in profile.rankings[i][: info.transition_rank - 1]:
-            row[g] = high
-        rows.append(row)
-        scales.append(scale)
-        meta.append((info.high, info.low))
-    return Instance.from_scaled(rows, scales, meta)
+        else:
+            # The top transition_rank - 1 goods are high, the rest low; both
+            # occur, since the drop is at rank 2..n <= m.
+            rows.append((info.low, [(info.high, info.transition_rank - 1)]))
+            meta.append((info.high, info.low))
+    return _ranked_instance(oracle, rows, meta)
 
 
 def mfrr(oracle: QueryOracle) -> Allocation:
@@ -281,7 +289,6 @@ def mfrr(oracle: QueryOracle) -> Allocation:
     n, m = oracle.n, oracle.m
     if m < n:
         return trivial_few_goods_allocation(n, m)
-    profile = oracle.ordinal_view()
     transitions: dict[int, TransitionInfo] = {}
     flat: list[int] = []
     for i in range(n):
@@ -293,27 +300,9 @@ def mfrr(oracle: QueryOracle) -> Allocation:
         else:
             flat.append(i)
     uncovered = _uncovered_instance(oracle, transitions)
-    matched_agents = sorted(transitions)
-    state = MatchFreezeState(
-        freeze_counters=[0] * n,
-        pool=set(range(m)),
-        bundles=[set() for _ in range(n)],
+    return _match_freeze_run(
+        uncovered, sorted(transitions), flat, oracle.ordinal_view().rankings
     )
-    cursor = [0] * n
-    while state.pool:
-        if matched_agents:
-            match_freeze_round(uncovered, matched_agents, state)
-        for i in flat:
-            if not state.pool:
-                break
-            pos = cursor[i]
-            ranking = profile.rankings[i]
-            while ranking[pos] not in state.pool:
-                pos += 1
-            cursor[i] = pos + 1
-            state.bundles[i].add(ranking[pos])
-            state.pool.discard(ranking[pos])
-    return Allocation(tuple(frozenset(b) for b in state.bundles), complete=True)
 
 
 def two_query_bivalued(oracle: QueryOracle) -> Allocation:

@@ -40,7 +40,11 @@ EXIT_GUARANTEE = 3
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("EFX_LAB_SEED", "0"))
+    text = os.environ.get("EFX_LAB_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise DomainError(f"EFX_LAB_SEED must be an integer, got {text!r}") from None
 
 
 def _read(path: str) -> str:

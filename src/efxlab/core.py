@@ -67,15 +67,15 @@ def _rational(v: object) -> Value:
         raise DomainError(f"not a rational value: {v!r}") from None
 
 
-def _scale_row(row: Sequence[Value]) -> tuple[list[int], int]:
-    """A row of rationals times the least common multiple of its
-    denominators, and that multiplier."""
-    denominators = [v.denominator for v in row]
+def _scale_row(numerators: Sequence[int], denominators: Sequence[int]) -> tuple[list[int], int]:
+    """The rationals ``numerators[g] / denominators[g]`` (denominators > 0) as
+    one row of ints over the least common multiple of the denominators,
+    reduced to lowest terms together with that multiplier, the row's scale."""
     scale = math.lcm(*denominators)
-    if scale == 1:
-        return [v.numerator for v in row], 1
     factor = {d: scale // d for d in set(denominators)}
-    return [v.numerator * factor[d] for v, d in zip(row, denominators)], scale
+    row = [p * factor[d] for p, d in zip(numerators, denominators)]
+    divisor = math.gcd(scale, *row)
+    return [x // divisor for x in row], scale // divisor
 
 
 def _parse_row(row: Sequence[object]) -> tuple[list[int], int]:
@@ -83,7 +83,7 @@ def _parse_row(row: Sequence[object]) -> tuple[list[int], int]:
     entries ``p`` or ``p/q`` (decimal digits, q > 0) is read straight into
     ints: the row over the least common multiple of its denominators,
     reduced to lowest terms; plain integer rows have scale 1. Any other row
-    goes through :func:`parse_value` and :func:`_scale_row`."""
+    goes through :func:`parse_value`."""
     if type(row) is list:
         try:
             if "".join(row).isascii():
@@ -93,14 +93,11 @@ def _parse_row(row: Sequence[object]) -> tuple[list[int], int]:
                 if all(p.isdigit() and (q.isdigit() or not slash) for p, slash, q in parts):
                     dens = [int(q or 1) for _, _, q in parts]
                     if all(dens):
-                        scale = math.lcm(*dens)
-                        factor = {d: scale // d for d in set(dens)}
-                        scaled = [int(p) * factor[d] for (p, _, _), d in zip(parts, dens)]
-                        divisor = math.gcd(scale, *scaled)
-                        return [x // divisor for x in scaled], scale // divisor
+                        return _scale_row([int(p) for p, _, _ in parts], dens)
         except (TypeError, ValueError):  # an entry that is not text, or too many digits
             pass
-    return _scale_row([parse_value(v) for v in row])
+    values = [parse_value(v) for v in row]
+    return _scale_row([v.numerator for v in values], [v.denominator for v in values])
 
 
 def _format_ratio(x: int, scale: int) -> str:
@@ -140,28 +137,18 @@ class Instance:
     row is in lowest terms: gcd(scales[i], *row) == 1. Ratios of one agent's
     values, and so her ranking and all her envy ratios, are those of the
     rationals; values of different agents are on different scales and must
-    not be compared. ``values`` is the ``Fraction`` view, built on first use
-    for the boundary (JSON, messages, the adversarial families).
+    not be compared. ``values`` is the ``Fraction`` view, built on first use;
+    the package itself reads only the integer form.
 
     ``bivalued_meta`` optionally records per-agent (high, low) value pairs;
     when present every entry of that agent's row must be one of the two.
 
-    ``Instance(n, m, values, meta)``, :meth:`from_rows` and :meth:`from_json`
+    There are three entry points: :meth:`from_rows` and :meth:`from_json`
     take rationals and convert them once; :meth:`from_scaled` takes the
     integer form itself.
     """
 
     __slots__ = ("n", "m", "scaled_values", "scales", "bivalued_meta", "_values", "_ranking")
-
-    def __init__(
-        self,
-        n: int,
-        m: int,
-        values: Sequence[Sequence[Value]],
-        bivalued_meta: Optional[Sequence[tuple[Value, Value]]] = None,
-    ) -> None:
-        scaled = [_scale_row(row) for row in values]
-        self._store(n, m, [r for r, _ in scaled], tuple(s for _, s in scaled), bivalued_meta)
 
     @staticmethod
     def from_scaled(
@@ -175,8 +162,7 @@ class Instance:
         terms with its scale (gcd 1), the one integer form of its rationals.
         """
         rows = [list(row) for row in rows]
-        n, m = len(rows), len(rows[0]) if rows else 0
-        if len(scales) != n:
+        if len(scales) != len(rows):
             raise DomainError("need one scale per row")
         for i, (scale, row) in enumerate(zip(scales, rows)):
             if type(scale) is not int or scale < 1:
@@ -185,18 +171,18 @@ class Instance:
                 raise DomainError(f"row {i}: scaled values must be Python ints")
             if math.gcd(scale, *row) != 1:
                 raise DomainError(f"row {i} is not in lowest terms with its scale {scale}")
-        instance = Instance.__new__(Instance)
-        instance._store(n, m, rows, tuple(scales), bivalued_meta)
-        return instance
+        return Instance._store(rows, tuple(scales), bivalued_meta)
 
+    @staticmethod
     def _store(
-        self,
-        n: int,
-        m: int,
         rows: list[list[int]],
         scales: tuple[int, ...],
         bivalued_meta: Optional[Sequence[tuple[Value, Value]]],
-    ) -> None:
+        shape: Optional[tuple[int, int]] = None,
+    ) -> "Instance":
+        """The instance of rows already in the integer form; ``shape`` is the
+        (n, m) they must have, by default that of the first row."""
+        n, m = shape or (len(rows), len(rows[0]) if rows else 0)
         matrix = _int_matrix(rows, n, m)
         meta = None
         if bivalued_meta is not None:
@@ -217,9 +203,11 @@ class Instance:
                 if not allowed.all():
                     bad = Fraction(int(matrix[i][allowed.argmin()]), scales[i])
                     raise DomainError(f"agent {i}: value {bad} is neither h={h} nor l={low}")
+        instance = object.__new__(Instance)
         # The cached Fraction view and ranking start empty.
-        for name, value in zip(self.__slots__, (n, m, matrix, scales, meta, None, None)):
-            object.__setattr__(self, name, value)
+        for name, value in zip(Instance.__slots__, (n, m, matrix, scales, meta, None, None)):
+            object.__setattr__(instance, name, value)
+        return instance
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"Instance is immutable; cannot set {name!r}")
@@ -266,10 +254,14 @@ class Instance:
         """Rows of ints, ``Fraction``s, floats or rational text. Rows of plain
         ints are already the integer form (scale 1) and are stored as they are."""
         rows = [list(row) for row in rows]
-        if all(set(map(type, row)) <= {int} for row in rows):
-            return Instance.from_scaled(rows, (1,) * len(rows), bivalued_meta)
-        values = [[_rational(v) for v in row] for row in rows]
-        return Instance(len(values), len(values[0]), values, bivalued_meta)
+        scales = (1,) * len(rows)
+        if not all(set(map(type, row)) <= {int} for row in rows):
+            values = [[_rational(v) for v in row] for row in rows]
+            scaled = [
+                _scale_row([v.numerator for v in r], [v.denominator for v in r]) for r in values
+            ]
+            rows, scales = [r for r, _ in scaled], tuple(s for _, s in scaled)
+        return Instance._store(rows, scales, bivalued_meta)
 
     def to_json(self) -> dict:
         out: dict = {
@@ -299,15 +291,15 @@ class Instance:
                 meta = tuple(
                     (parse_value(e["h"]), parse_value(e["l"])) for e in data["bivalued"]
                 )
-            n, m = int(data["n"]), int(data["m"])
+            n, m = data["n"], data["m"]
         except KeyError as exc:
             raise DomainError(f"instance JSON lacks the key {exc}") from None
         except (AttributeError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed instance JSON: {exc}") from None
+        if not all(type(x) is int for x in (n, m)):
+            raise DomainError(f"instance JSON needs integer n and m, got n={n!r}, m={m!r}")
         # Stored as from_scaled would, but checked against the JSON's n and m.
-        instance = Instance.__new__(Instance)
-        instance._store(n, m, [r for r, _ in scaled], tuple(s for _, s in scaled), meta)
-        return instance
+        return Instance._store([r for r, _ in scaled], tuple(s for _, s in scaled), meta, (n, m))
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2)
@@ -333,14 +325,6 @@ class PreferenceProfile:
         for r in self.rankings:
             if len(r) != m or set(r) != goods:
                 raise DomainError("each ranking must be a permutation of 0..m-1")
-
-    @property
-    def n(self) -> int:
-        return len(self.rankings)
-
-    @property
-    def m(self) -> int:
-        return len(self.rankings[0])
 
 
 @dataclass(frozen=True)
@@ -373,7 +357,7 @@ class Allocation:
                 if g in seen:
                     raise OverlapError(f"good {g} appears more than once")
                 seen.add(g)
-        return Allocation(tuple(frozenset(b) for b in raw), len(seen) == m)
+        return Allocation.from_bundles(raw, len(seen) == m)
 
 
 @dataclass(frozen=True)
@@ -534,5 +518,4 @@ def trivial_few_goods_allocation(n: int, m: int) -> Allocation:
 
     With at most one good per bundle the result is exactly EFX.
     """
-    bundles = [frozenset([g]) if g < m else frozenset() for g in range(n)]
-    return Allocation(tuple(bundles[:n]), complete=True)
+    return Allocation.from_bundles([[g] if g < m else [] for g in range(n)])

@@ -19,8 +19,6 @@ from .core import (
     PreferenceProfile,
     Value,
     build_ranking,
-    format_value,
-    parse_value,
 )
 
 
@@ -33,17 +31,6 @@ class Transcript:
     """Ordered record of answered queries."""
 
     entries: tuple[tuple[int, int, Value], ...]
-
-    def to_json(self) -> dict:
-        return {
-            "entries": [[a, g, format_value(v)] for a, g, v in self.entries]
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "Transcript":
-        return Transcript(
-            tuple((int(a), int(g), parse_value(v)) for a, g, v in data["entries"])
-        )
 
 
 class QueryOracle:
@@ -66,10 +53,6 @@ class QueryOracle:
     @property
     def m(self) -> int:
         return self._hidden.m
-
-    @property
-    def budget(self) -> Optional[int]:
-        return self._budget
 
     def query(self, agent: int, good: int) -> Value:
         """Return the hidden value, recording and charging a fresh query."""

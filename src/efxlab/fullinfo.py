@@ -102,7 +102,7 @@ def _allocation_at(index: int, n: int, m: int) -> Allocation:
     for g in range(m - 1, -1, -1):
         index, owner = divmod(index, n)
         bundles[owner].add(g)
-    return Allocation(tuple(frozenset(b) for b in bundles), complete=True)
+    return Allocation.from_bundles(bundles)
 
 
 def exact_efx_bruteforce(instance: Instance) -> Optional[Allocation]:

@@ -174,9 +174,9 @@ def generate_instance(
     t: Optional[int] = None,
     case: int = 2,
     seed: int = 0,
-    max_value: int = 20,
 ) -> Instance:
-    """Deterministic instance generation; same arguments, same instance."""
+    """Deterministic instance generation; same arguments, same instance.
+    Uniform values are integers in 0..20."""
     if n < 1:
         raise DomainError(f"need n >= 1, got n={n}")
     if kind in ("uniform", "bivalued", "ordinal_lb") and m is None:
@@ -185,7 +185,7 @@ def generate_instance(
         raise DomainError(f"need m >= 1, got m={m}")
     rng = random.Random(seed)
     if kind == "uniform":
-        rows = [[rng.randint(0, max_value) for _ in range(m)] for _ in range(n)]
+        rows = [[rng.randint(0, 20) for _ in range(m)] for _ in range(n)]
         return Instance.from_rows(rows)
     if kind == "bivalued":
         rows = []
@@ -374,11 +374,11 @@ def adversary_ordinal(n: int, m: int, algorithm: str) -> dict:
     }
 
 
-def query_family_cap(family: QueryLBFamily, constant: int = 2) -> Value:
-    """Upper endpoint of constant * sqrt(k) * m**(-1/(2k-1))."""
+def query_family_cap(family: QueryLBFamily) -> Value:
+    """Upper endpoint of 2 * sqrt(k) * m**(-1/(2k-1))."""
     sqrt_hi = sqrt_enclosure(family.k)[1]
     root_hi = pow_enclosure(family.m, -1, 2 * family.k - 1)[1]
-    return constant * sqrt_hi * root_hi
+    return 2 * sqrt_hi * root_hi
 
 
 def adversary_query(n: int, k: int, t: int, algorithm: str, budget: int) -> dict:

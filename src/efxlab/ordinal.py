@@ -50,7 +50,7 @@ def round_robin(
             taken[g] = True
             remaining -= 1
             bundles[i].add(g)
-    return Allocation(tuple(frozenset(b) for b in bundles), complete=pool_size == m)
+    return Allocation.from_bundles(bundles, complete=pool_size == m)
 
 
 def rrla(oracle: QueryOracle) -> Allocation:
@@ -69,4 +69,4 @@ def rrla(oracle: QueryOracle) -> Allocation:
         remaining -= 1
         bundles[i].add(g)
     bundles[n - 1] = {g for g in range(m) if not taken[g]}
-    return Allocation(tuple(frozenset(b) for b in bundles), complete=True)
+    return Allocation.from_bundles(bundles)

@@ -8,7 +8,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 from .core import (
     Allocation,
@@ -109,6 +109,35 @@ def bucketize(oracle: QueryOracle, agent: int, k: int) -> AgentVirtualValuation:
     return AgentVirtualValuation(agent, top_values, thresholds, tuple(bounds))
 
 
+def _ranked_instance(
+    oracle: QueryOracle,
+    rows: Sequence[tuple[Value, Sequence[tuple[Value, int]]]],
+    bivalued_meta: Optional[Sequence[tuple[Value, Value]]] = None,
+) -> Instance:
+    """The instance whose row i is, along agent i's ranking, the (value,
+    count) runs of ``rows[i] = (rest, runs)``, best first, and ``rest`` on
+    every good after them.
+
+    Each row is put on the least common multiple of its values'
+    denominators, and every value but 0 occurs in it, so the row is in
+    lowest terms; it is written one run at a time over a row of ``rest``.
+    """
+    rankings, m = oracle.ordinal_view().rankings, oracle.m
+    scaled, scales = [], []
+    for ranking, (rest, runs) in zip(rankings, rows, strict=True):
+        scale = math.lcm(rest.denominator, *(v.denominator for v, _ in runs))
+        row = [rest.numerator * (scale // rest.denominator)] * m
+        pos = 0
+        for v, count in runs:
+            x = v.numerator * (scale // v.denominator)
+            for g in ranking[pos : pos + count]:
+                row[g] = x
+            pos += count
+        scaled.append(row)
+        scales.append(scale)
+    return Instance.from_scaled(scaled, scales, bivalued_meta)
+
+
 def virtual_instance(
     oracle: QueryOracle, virtuals: Sequence[AgentVirtualValuation]
 ) -> Instance:
@@ -116,33 +145,20 @@ def virtual_instance(
     then each bucket at its level's fraction of the anchor (her last top
     value), then zeros.
 
-    A row takes at most n-1+k values besides 0, so it is put on the least
-    common multiple of their denominators directly, and written one run of
-    equal values at a time; the trailing zeros are never touched.
+    A row takes at most n-1+k values besides 0, as runs of equal values;
+    the trailing zeros are never touched.
     """
-    profile = oracle.ordinal_view()
-    m = oracle.m
-    rows, scales = [], []
-    for vv, ranking in zip(virtuals, profile.rankings, strict=True):
+    rows = []
+    for vv in virtuals:
         anchor = vv.top_values[-1] if vv.top_values else Fraction(0)
-        # (value, count) runs along the ranking, best first.
         runs = [(v, 1) for v in vv.top_values]
         start = len(vv.top_values)
         for level, bound in enumerate(vv.bucket_bounds):
             if bound >= start:
                 runs.append((anchor * vv.thresholds[level], bound + 1 - start))
                 start = bound + 1
-        scale = math.lcm(*(v.denominator for v, _ in runs))
-        row = [0] * m
-        pos = 0
-        for v, count in runs:
-            x = v.numerator * (scale // v.denominator)
-            for g in ranking[pos : pos + count]:
-                row[g] = x
-            pos += count
-        rows.append(row)
-        scales.append(scale)
-    return Instance.from_scaled(rows, scales)
+        rows.append((0, runs))
+    return _ranked_instance(oracle, rows)
 
 
 def virtual_efx(
@@ -269,49 +285,35 @@ def prr(oracle: QueryOracle, params: PRRParams) -> Allocation:
     k = params.k
     active = set(range(n))
     singled: dict[int, int] = {}
-    rr_agents = set(range(n))
     taken = [False] * m
 
+    # Each round visits the active agents by (top good, index); once one of
+    # the agents sharing a top good is accepted, the others wait a round.
     while active and len(singled) < n - 1:
-        tops = {}
-        for i in sorted(active):
-            tops[i] = next(g for g in profile.rankings[i] if not taken[g])
-        top_goods = sorted(set(tops.values()))
-        progressed = False
-        for g in top_goods:
-            if taken[g]:
+        tops = {i: next(g for g in profile.rankings[i] if not taken[g]) for i in active}
+        for i in sorted(active, key=lambda i: (tops[i], i)):
+            if taken[tops[i]]:
                 continue
-            for i in sorted(i for i in active if tops[i] == g):
-                if i not in active:
-                    continue
-                segment_tops = _segment_tops(
-                    profile.rankings[i], taken, params.alpha, k
-                )
-                seg_values = [oracle.query(i, sg) for sg in segment_tops]
-                active.discard(i)
-                progressed = True
-                top_value = seg_values[0]
-                if all(
-                    top_value >= params.beta[level - 1] * seg_values[level]
-                    for level in range(1, len(seg_values))
-                ):
-                    singled[i] = segment_tops[0]
-                    taken[segment_tops[0]] = True
-                    rr_agents.discard(i)
+            segment_tops = _segment_tops(profile.rankings[i], taken, params.alpha, k)
+            seg_values = [oracle.query(i, sg) for sg in segment_tops]
+            active.discard(i)
+            top_value = seg_values[0]
+            if all(
+                top_value >= params.beta[level - 1] * seg_values[level]
+                for level in range(1, len(seg_values))
+            ):
+                singled[i] = segment_tops[0]
+                taken[segment_tops[0]] = True
+                if len(singled) == n - 1:
                     break
-                if len(singled) >= n - 1:
-                    break
-            if len(singled) >= n - 1:
-                break
-        if not progressed:
-            break
 
     bundles: list[set[int]] = [set() for _ in range(n)]
     for i, g in singled.items():
         bundles[i].add(g)
     remaining = [g for g in range(m) if not taken[g]]
     if remaining:
-        rr = round_robin(oracle, participants=sorted(rr_agents), pool=remaining)
+        rr_agents = [i for i in range(n) if i not in singled]
+        rr = round_robin(oracle, participants=rr_agents, pool=remaining)
         for i in range(n):
             bundles[i] |= set(rr.bundles[i])
-    return Allocation(tuple(frozenset(b) for b in bundles), complete=True)
+    return Allocation.from_bundles(bundles)

@@ -3,7 +3,8 @@ ranking, fairness report, match-freeze rounds and envy-cycle heuristic, the
 integer envy cycle with its row-major worth table, the
 exhaustive oracles' per-call row scaling and their chunked enumeration, the
 ``Fraction``-row builds of the ``virtual_efx`` proxy and mfrr's uncovered
-instance, the recursive matching, the root enclosure bisected in
+instance, the match-freeze and mfrr drivers with their own round loops, the
+grouped ``prr`` round loop, the recursive matching, the root enclosure bisected in
 ``Fraction`` arithmetic, the harness's per-algorithm dispatch chains and the
 query adversary over ``Fraction`` rows. The differential tests run the library against these
 and require identical outputs; nothing outside the tests imports this module.
@@ -34,18 +35,24 @@ from efxlab.enclosures import _exact_nth_root, integer_nth_root as library_integ
 
 
 def instance_from_json(data: dict) -> Instance:
-    """``Instance.from_json`` parsing every value into a ``Fraction``."""
+    """``Instance.from_json`` parsing every value into a ``Fraction``; ``n``
+    and ``m`` must be JSON integers (not booleans) and the rows' shape."""
     try:
         values = tuple(tuple(parse_value(v) for v in row) for row in data["values"])
         meta = None
         if data.get("bivalued") is not None:
             meta = tuple((parse_value(e["h"]), parse_value(e["l"])) for e in data["bivalued"])
-        n, m = int(data["n"]), int(data["m"])
+        n, m = data["n"], data["m"]
     except KeyError as exc:
         raise DomainError(f"instance JSON lacks the key {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed instance JSON: {exc}") from None
-    return Instance(n, m, values, meta)
+    if type(n) is not int or type(m) is not int:
+        raise DomainError(f"n and m must be integers, got n={n!r}, m={m!r}")
+    instance = Instance.from_rows(values, meta)
+    if (instance.n, instance.m) != (n, m):
+        raise DomainError("values matrix must be n x m")
+    return instance
 
 
 def instance_to_json(instance: Instance) -> dict:
@@ -86,8 +93,8 @@ def ordinal_lb_cases(n: int, m: int) -> tuple[Instance, Instance]:
     """The two valuations of ``ordinal_lb_build`` from ``Fraction`` rows."""
     one, zero = Fraction(1), Fraction(0)
     case1_row = tuple(one if g < n - 1 else zero for g in range(m))
-    case1 = Instance(n, m, tuple(case1_row for _ in range(n)))
-    case2 = Instance(n, m, tuple(tuple(one for _ in range(m)) for _ in range(n)))
+    case1 = Instance.from_rows([case1_row] * n)
+    case2 = Instance.from_rows([[one] * m] * n)
     return case1, case2
 
 
@@ -99,7 +106,7 @@ def query_lb_revealed(n: int, k: int, t: int, sqrt_lo: Fraction) -> Instance:
     for level, size in enumerate(sizes, start=1):
         row.extend([Fraction(1, t ** (2 * level))] * size)
     row.extend([Fraction(0)] * (m - (n - 1) - sum(sizes)))
-    return Instance(n, m, tuple(tuple(row) for _ in range(n)))
+    return Instance.from_rows([row] * n)
 
 
 def build_ranking(instance: Instance) -> PreferenceProfile:
@@ -389,7 +396,7 @@ def virtual_instance(oracle, virtuals) -> Instance:
     rows = tuple(
         virtual_row(virtuals[i], profile.rankings[i], oracle.m) for i in range(oracle.n)
     )
-    return Instance(oracle.n, oracle.m, rows)
+    return Instance.from_rows(rows)
 
 
 def uncovered_instance(oracle, transitions) -> Instance:
@@ -409,7 +416,127 @@ def uncovered_instance(oracle, transitions) -> Instance:
             row[g] = info.high if pos < info.transition_rank - 1 else info.low
         rows.append(row)
         meta.append((info.high, info.low))
-    return Instance(n, m, tuple(tuple(r) for r in rows), tuple(meta))
+    return Instance.from_rows(rows, meta)
+
+
+# The drivers before the shared match-freeze loop and the flat prr loop.
+
+
+def match_and_freeze(instance: Instance) -> Allocation:
+    """The former ``bivalued.match_and_freeze``: its own round loop."""
+    if instance.bivalued_meta is None:
+        raise bivalued.NotBivalued("instance has no bivalued metadata")
+    for i, (_, low) in enumerate(instance.bivalued_meta):
+        if low == 0:
+            raise bivalued.ZeroLowValue(f"agent {i} has low value 0")
+    agents = list(range(instance.n))
+    state = bivalued.MatchFreezeState(
+        freeze_counters=[0] * instance.n,
+        pool=set(range(instance.m)),
+        bundles=[set() for _ in range(instance.n)],
+    )
+    while state.pool:
+        bivalued.match_freeze_round(instance, agents, state)
+    return Allocation(tuple(frozenset(b) for b in state.bundles), complete=True)
+
+
+def mfrr(oracle) -> Allocation:
+    """The former ``bivalued.mfrr``: its own loop of matching rounds and
+    round-robin picks, over the ``Fraction``-row uncovered instance."""
+    n, m = oracle.n, oracle.m
+    if m < n:
+        return core.trivial_few_goods_allocation(n, m)
+    profile = oracle.ordinal_view()
+    transitions = {}
+    flat = []
+    for i in range(n):
+        info = bivalued.discover_transition(oracle, i)
+        if info is not None:
+            if info.low == 0:
+                raise bivalued.ZeroLowValue(f"agent {i} has low value 0")
+            transitions[i] = info
+        else:
+            flat.append(i)
+    uncovered = uncovered_instance(oracle, transitions)
+    matched_agents = sorted(transitions)
+    state = bivalued.MatchFreezeState(
+        freeze_counters=[0] * n,
+        pool=set(range(m)),
+        bundles=[set() for _ in range(n)],
+    )
+    cursor = [0] * n
+    while state.pool:
+        if matched_agents:
+            bivalued.match_freeze_round(uncovered, matched_agents, state)
+        for i in flat:
+            if not state.pool:
+                break
+            pos = cursor[i]
+            ranking = profile.rankings[i]
+            while ranking[pos] not in state.pool:
+                pos += 1
+            cursor[i] = pos + 1
+            state.bundles[i].add(ranking[pos])
+            state.pool.discard(ranking[pos])
+    return Allocation(tuple(frozenset(b) for b in state.bundles), complete=True)
+
+
+def prr(oracle, params) -> Allocation:
+    """The former ``query_enhanced.prr``: rounds over the agents grouped by
+    top good, with its guards and progress flag."""
+    n, m = oracle.n, oracle.m
+    if m < n:
+        return core.trivial_few_goods_allocation(n, m)
+    profile = oracle.ordinal_view()
+    k = params.k
+    active = set(range(n))
+    singled: dict[int, int] = {}
+    rr_agents = set(range(n))
+    taken = [False] * m
+
+    while active and len(singled) < n - 1:
+        tops = {}
+        for i in sorted(active):
+            tops[i] = next(g for g in profile.rankings[i] if not taken[g])
+        top_goods = sorted(set(tops.values()))
+        progressed = False
+        for g in top_goods:
+            if taken[g]:
+                continue
+            for i in sorted(i for i in active if tops[i] == g):
+                if i not in active:
+                    continue
+                segment_tops = query_enhanced._segment_tops(
+                    profile.rankings[i], taken, params.alpha, k
+                )
+                seg_values = [oracle.query(i, sg) for sg in segment_tops]
+                active.discard(i)
+                progressed = True
+                top_value = seg_values[0]
+                if all(
+                    top_value >= params.beta[level - 1] * seg_values[level]
+                    for level in range(1, len(seg_values))
+                ):
+                    singled[i] = segment_tops[0]
+                    taken[segment_tops[0]] = True
+                    rr_agents.discard(i)
+                    break
+                if len(singled) >= n - 1:
+                    break
+            if len(singled) >= n - 1:
+                break
+        if not progressed:
+            break
+
+    bundles: list[set[int]] = [set() for _ in range(n)]
+    for i, g in singled.items():
+        bundles[i].add(g)
+    remaining = [g for g in range(m) if not taken[g]]
+    if remaining:
+        rr = ordinal.round_robin(oracle, participants=sorted(rr_agents), pool=remaining)
+        for i in range(n):
+            bundles[i] |= set(rr.bundles[i])
+    return Allocation(tuple(frozenset(b) for b in bundles), complete=True)
 
 
 def integer_nth_root(x: int, q: int) -> int:
@@ -661,7 +788,7 @@ def _good_block(family, good: int) -> tuple[str, int]:
 def _with_row(base: Instance, agent: int, row: tuple[Fraction, ...]) -> Instance:
     rows = list(base.values)
     rows[agent] = row
-    return Instance(base.n, base.m, tuple(rows))
+    return Instance.from_rows(rows)
 
 
 def query_adversary_complete(family, transcript, allocation: Allocation):

@@ -10,17 +10,19 @@ from efxlab import (
     NotBivalued,
     QueryOracle,
     ZeroLowValue,
-    discover_transition,
     exact_efx_bruteforce,
     fairness_report,
     match_and_freeze,
-    match_freeze_round,
     mfrr,
-    prioritized_max_matching,
     round_robin,
     two_query_bivalued,
 )
-from efxlab.bivalued import MatchFreezeState
+from efxlab.bivalued import (
+    MatchFreezeState,
+    discover_transition,
+    match_freeze_round,
+    prioritized_max_matching,
+)
 
 
 def bivalued_instance(rows, pairs):

@@ -1,10 +1,13 @@
+import importlib
 import json
 import pickle
+import types
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import efxlab
 from efxlab import (
     Allocation,
     CompletenessError,
@@ -16,9 +19,9 @@ from efxlab import (
     fairness_report,
     format_value,
     parse_value,
-    trivial_few_goods_allocation,
     validate,
 )
+from efxlab.core import trivial_few_goods_allocation
 
 
 def inst(rows, meta=None):
@@ -137,7 +140,7 @@ def test_instance_invariants():
     with pytest.raises(DomainError):
         Instance.from_rows([[Fraction(-1)]])
     with pytest.raises(DomainError):
-        Instance(2, 2, ((Fraction(1),),))  # wrong shape
+        Instance.from_json({"n": 2, "m": 2, "values": [["1"]]})  # wrong shape
     with pytest.raises(DomainError):
         # meta value not matching the matrix
         Instance.from_rows([[1, 3]], [(Fraction(3), Fraction(2))])
@@ -333,3 +336,23 @@ def test_binding_pair_reproduces_alpha(case):
     den = sum(row[x] for x in allocation.bundles[j]) - row[g]
     assert row[g] == min(row[x] for x in allocation.bundles[j])
     assert rep.alpha_efx == min(Fraction(1), own / den)
+
+
+def test_all_names_resolve_and_hold_no_module():
+    for name in efxlab.__all__:
+        assert not isinstance(getattr(efxlab, name), types.ModuleType), name
+    assert len(set(efxlab.__all__)) == len(efxlab.__all__)
+
+
+@pytest.mark.parametrize(
+    "module,name",
+    [("bivalued", "match_freeze_round"), ("bivalued", "MatchFreezeState"),
+     ("bivalued", "prioritized_max_matching"), ("bivalued", "discover_transition"),
+     ("bivalued", "TransitionInfo"), ("query_enhanced", "bucketize"),
+     ("query_enhanced", "bucket_thresholds"), ("query_enhanced", "virtual_instance"),
+     ("core", "trivial_few_goods_allocation"), ("core", "Value"),
+     ("query_enhanced", "FullInfoAllocator")],
+)
+def test_internal_steps_import_from_their_modules(module, name):
+    assert name not in efxlab.__all__
+    assert getattr(importlib.import_module(f"efxlab.{module}"), name) is not None

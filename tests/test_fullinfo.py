@@ -14,14 +14,13 @@ from efxlab import (
     QueryOracle,
     TooLarge,
     best_alpha_bruteforce,
-    bucketize,
     envy_cycle_heuristic,
     exact_efx_bruteforce,
     fairness_report,
     fullinfo,
     harness,
-    virtual_instance,
 )
+from efxlab.query_enhanced import bucketize, virtual_instance
 
 
 def inst(rows, meta=None):

@@ -144,6 +144,13 @@ def test_cli_env_seed(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_cli_env_seed_must_be_an_integer(monkeypatch, capsys):
+    for text in ("abc", "1.5", ""):
+        monkeypatch.setenv("EFX_LAB_SEED", text)
+        assert main(["gen", "--n", "2", "--m", "3"]) == EXIT_VALIDATION
+        assert "EFX_LAB_SEED must be an integer" in capsys.readouterr().err
+
+
 def test_cli_validation_exit_code(tmp_path, capsys):
     path = tmp_path / "inst.json"
     main(["gen", "--kind", "uniform", "--n", "2", "--m", "4", "--out", str(path)])
@@ -277,6 +284,24 @@ def test_cli_malformed_instance_exits_2(tmp_path, capsys, text):
     for argv in (["run", "--instance", path, "--alg", "rrla"], ["oracle", "--instance", path]):
         assert main(argv) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("field", ["n", "m"])
+@pytest.mark.parametrize("bad", [2.7, True, "2"], ids=["float", "bool", "text"])
+def test_cli_non_integer_shape_exits_2(tmp_path, capsys, field, bad):
+    # The rows have the shape int(bad) would give, so only the type is wrong.
+    shape = {"n": 2, "m": 2, field: int(bad)}
+    data = {**shape, field: bad, "values": [["1"] * shape["m"]] * shape["n"]}
+    path = write_instance(tmp_path, json.dumps(data))
+    allocation = tmp_path / "alloc.json"
+    allocation.write_text(json.dumps({"bundles": [[0]] + [[]] * (shape["n"] - 1)}))
+    for argv in (
+        ["run", "--instance", path, "--alg", "rrla"],
+        ["oracle", "--instance", path],
+        ["verify", "--instance", path, "--allocation", str(allocation)],
+    ):
+        assert main(argv) == EXIT_VALIDATION
+        assert "integer n and m" in capsys.readouterr().err
 
 
 def test_cli_missing_files_exit_2(tmp_path, capsys):

@@ -12,8 +12,6 @@ from efxlab import (
     PRRParams,
     QueryOracle,
     best_alpha_bruteforce,
-    bucket_thresholds,
-    bucketize,
     envy_cycle_heuristic,
     fairness_report,
     prr,
@@ -22,8 +20,8 @@ from efxlab import (
     theorem5_params,
     virtual_efx,
     virtual_efx_bound,
-    virtual_instance,
 )
+from efxlab.query_enhanced import bucket_thresholds, bucketize, virtual_instance
 from efxlab.enclosures import pow_enclosure, sqrt_enclosure
 from efxlab.harness import default_lambda
 

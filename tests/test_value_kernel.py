@@ -29,20 +29,21 @@ from efxlab import (
     InvalidAllocation,
     OverlapError,
     QueryOracle,
-    bucketize,
     build_ranking,
-    discover_transition,
     envy_cycle_heuristic,
     fairness_report,
-    match_freeze_round,
     ordinal_lb_build,
-    prioritized_max_matching,
     query_lb_build,
     validate,
-    virtual_instance,
 )
 from efxlab import bivalued, core, elicitation, harness, query_enhanced
-from efxlab.bivalued import MatchFreezeState
+from efxlab.bivalued import (
+    MatchFreezeState,
+    discover_transition,
+    match_freeze_round,
+    prioritized_max_matching,
+)
+from efxlab.query_enhanced import bucketize, virtual_instance
 
 # Values whose scaled rows overflow the int64 rule and take the object path.
 BIG = 10**12
@@ -470,6 +471,18 @@ def test_from_json_ratio_text_edge_entries_match_parse_value(entry):
     new = result_or_error(Instance.from_json, data)
     old = result_or_error(ref.instance_from_json, data)
     assert new == old if not isinstance(old, type) else new is old
+
+
+@pytest.mark.parametrize("field", ["n", "m"])
+@pytest.mark.parametrize("bad", [2.7, True, "2"], ids=["float", "bool", "text"])
+def test_from_json_needs_json_integers_for_n_and_m(field, bad):
+    shape = {"n": 2, "m": 2, field: int(bad)}
+    data = {**shape, "values": [["1/2"] * shape["m"]] * shape["n"]}
+    assert Instance.from_json(data) == ref.instance_from_json(data)
+    data[field] = bad
+    for parse in (Instance.from_json, ref.instance_from_json):
+        with pytest.raises(DomainError, match="integer"):
+            parse(data)
 
 
 def test_from_json_reads_ratio_text_without_fractions():
