@@ -26,7 +26,7 @@ from .core import (
     trivial_few_goods_allocation,
 )
 from .elicitation import QueryOracle
-from .query_enhanced import PRRParams, _ranked_instance, prr
+from .query_enhanced import PRRParams, prr
 
 
 class NotBivalued(FairDivisionError):
@@ -41,19 +41,44 @@ class ZeroLowValue(FairDivisionError):
 class MatchFreezeState:
     """Mutable per-run bookkeeping for the matching rounds.
 
-    ``priority`` and ``high_goods`` are built on the first round: the
-    participants in matching order, and each one's high-valued goods in
-    ascending order. The pool only shrinks, so goods taken in earlier rounds
-    are dropped from the front of a list lazily, and the matching skips the
-    rest.
+    ``priority`` lists the participants in matching order, ``high_goods``
+    each one's high-valued goods in ascending order and ``duration`` how many
+    rounds a high good she lost freezes its taker. The pool only shrinks, so
+    goods taken in earlier rounds are dropped from the front of a list
+    lazily, and the matching skips the rest.
     """
 
+    priority: list[int]
+    high_goods: dict[int, list[int]]
+    duration: dict[int, int]
     freeze_counters: list[int]
     pool: set[int]
     bundles: list[set[int]]
     frozen_events: list[int] = field(default_factory=list)
-    priority: list[int] = field(default_factory=list)
-    high_goods: dict[int, list[int]] = field(default_factory=dict)
+
+    @classmethod
+    def start(
+        cls,
+        n: int,
+        m: int,
+        meta: dict[int, tuple[Value, Value]],
+        high_goods: dict[int, list[int]],
+    ) -> "MatchFreezeState":
+        """The state before the first round of n agents over m goods; ``meta``
+        maps each participant to her (h, l), with l > 0, and ``high_goods``
+        to her goods worth h, ascending."""
+        return cls(
+            # Higher high-to-low ratio first, ties by agent index.
+            priority=sorted(meta, key=lambda i: (-(meta[i][0] / meta[i][1]), i)),
+            high_goods=high_goods,
+            # ceil(h/l) - 1 low goods are needed to catch up to a lost high
+            # good; the floor variant undercompensates whenever l does not
+            # divide h, and measurably breaks exact EFX.
+            duration={i: math.ceil(h / low) - 1 for i, (h, low) in meta.items()},
+            freeze_counters=[0] * n,
+            pool=set(range(m)),
+            bundles=[set() for _ in range(n)],
+        )
 
 
 def prioritized_max_matching(
@@ -114,30 +139,15 @@ def _high_goods(instance: Instance, agent: int, high: Value) -> list[int]:
     return np.flatnonzero(row == top).tolist()
 
 
-def match_freeze_round(
-    instance: Instance,
-    participants: Sequence[int],
-    state: MatchFreezeState,
-) -> None:
+def match_freeze_round(state: MatchFreezeState) -> None:
     """One matching round: matched agents take high goods, the rest take the
-    lowest-index available good, and freeze counters are updated in place.
-
-    Every round of a run must get the same participants.
-    """
-    assert instance.bivalued_meta is not None
-    meta = instance.bivalued_meta
-    if not state.priority:
-        # Higher high-to-low ratio first, ties by agent index.
-        state.priority = sorted(participants, key=lambda i: (-(meta[i][0] / meta[i][1]), i))
-        state.high_goods = {i: _high_goods(instance, i, meta[i][0]) for i in participants}
-    unfrozen = []
-    for i in participants:
+    lowest-index available good, and freeze counters are updated in place."""
+    priority = []
+    for i in state.priority:
         if state.freeze_counters[i] > 0:
             state.freeze_counters[i] -= 1
         else:
-            unfrozen.append(i)
-    unfrozen_set = set(unfrozen)
-    priority = [i for i in state.priority if i in unfrozen_set]
+            priority.append(i)
     for i in priority:
         goods = state.high_goods[i]
         taken = 0
@@ -153,7 +163,7 @@ def match_freeze_round(
     # bundle first: when the pool runs dry mid-round, the leftover must go
     # to whoever is behind, or exact EFX is lost.
     unmatched = sorted(
-        unfrozen_set - set(matching), key=lambda i: (len(state.bundles[i]), i)
+        set(priority) - set(matching), key=lambda i: (len(state.bundles[i]), i)
     )
     for i in unmatched:
         if not state.pool:
@@ -161,39 +171,29 @@ def match_freeze_round(
         g = min(state.pool)
         state.bundles[i].add(g)
         state.pool.discard(g)
-        h_i, l_i = meta[i]
+        duration = state.duration[i]
         # Goods taken this round are still in the sorted high lists.
         high_i = state.high_goods[i]
         for j, gj in matched_this_round:
             pos = bisect_left(high_i, gj)
             if pos < len(high_i) and high_i[pos] == gj:
-                # ceil(h/l) - 1 low goods are needed to catch up to the lost
-                # high good; the floor variant undercompensates whenever l
-                # does not divide h, and measurably breaks exact EFX.
-                duration = math.ceil(h_i / l_i) - 1
                 if state.freeze_counters[j] == 0 and duration > 0:
                     state.frozen_events.append(j)
                 state.freeze_counters[j] = duration
 
 
 def _match_freeze_run(
-    instance: Instance,
-    matched: Sequence[int],
+    state: MatchFreezeState,
     flat: Sequence[int] = (),
     rankings: Sequence[Sequence[int]] = (),
 ) -> Allocation:
     """Allocate every good in rounds: one :func:`match_freeze_round` for the
-    ``matched`` agents, then one pick of her top remaining good (along
+    state's participants, then one pick of her top remaining good (along
     ``rankings``) for each ``flat`` agent in turn."""
-    state = MatchFreezeState(
-        freeze_counters=[0] * instance.n,
-        pool=set(range(instance.m)),
-        bundles=[set() for _ in range(instance.n)],
-    )
-    cursor = [0] * instance.n
+    cursor = [0] * len(state.bundles)
     while state.pool:
-        if matched:
-            match_freeze_round(instance, matched, state)
+        if state.priority:
+            match_freeze_round(state)
         for i in flat:
             if not state.pool:
                 break
@@ -214,7 +214,9 @@ def match_and_freeze(instance: Instance) -> Allocation:
     for i, (_, low) in enumerate(instance.bivalued_meta):
         if low == 0:
             raise ZeroLowValue(f"agent {i} has low value 0")
-    return _match_freeze_run(instance, list(range(instance.n)))
+    meta = dict(enumerate(instance.bivalued_meta))
+    high_goods = {i: _high_goods(instance, i, h) for i, (h, _) in meta.items()}
+    return _match_freeze_run(MatchFreezeState.start(instance.n, instance.m, meta, high_goods))
 
 
 @dataclass(frozen=True)
@@ -261,48 +263,27 @@ def discover_transition(
     return TransitionInfo(high=top_value, low=low, transition_rank=first_low)
 
 
-def _uncovered_instance(
-    oracle: QueryOracle, transitions: dict[int, TransitionInfo]
-) -> Instance:
-    """Materialize the valuations the transitions fully determine.
-
-    Agents without a transition get an all-zero placeholder row; the
-    matching rounds never look at those rows.
-    """
-    rows, meta = [], []
-    for i in range(oracle.n):
-        info = transitions.get(i)
-        if info is None:
-            rows.append((0, []))
-            meta.append((Fraction(1), Fraction(0)))
-        else:
-            # The top transition_rank - 1 goods are high, the rest low; both
-            # occur, since the drop is at rank 2..n <= m.
-            rows.append((info.low, [(info.high, info.transition_rank - 1)]))
-            meta.append((info.high, info.low))
-    return _ranked_instance(oracle, rows, meta)
-
-
 def mfrr(oracle: QueryOracle) -> Allocation:
     """Uncover transitions, then alternate one matching round for the
     uncovered agents with one round-robin pick for the flat-top agents."""
     n, m = oracle.n, oracle.m
     if m < n:
         return trivial_few_goods_allocation(n, m)
-    transitions: dict[int, TransitionInfo] = {}
+    rankings = oracle.ordinal_view().rankings
+    meta: dict[int, tuple[Value, Value]] = {}
+    high_goods: dict[int, list[int]] = {}
     flat: list[int] = []
     for i in range(n):
         info = discover_transition(oracle, i)
         if info is not None:
             if info.low == 0:
                 raise ZeroLowValue(f"agent {i} has low value 0")
-            transitions[i] = info
+            meta[i] = (info.high, info.low)
+            # Her top transition_rank - 1 goods are worth h, the rest l.
+            high_goods[i] = sorted(rankings[i][: info.transition_rank - 1])
         else:
             flat.append(i)
-    uncovered = _uncovered_instance(oracle, transitions)
-    return _match_freeze_run(
-        uncovered, sorted(transitions), flat, oracle.ordinal_view().rankings
-    )
+    return _match_freeze_run(MatchFreezeState.start(n, m, meta, high_goods), flat, rankings)
 
 
 def two_query_bivalued(oracle: QueryOracle) -> Allocation:

@@ -78,24 +78,23 @@ def _scale_row(numerators: Sequence[int], denominators: Sequence[int]) -> tuple[
     return [x // divisor for x in row], scale // divisor
 
 
-def _parse_row(row: Sequence[object]) -> tuple[list[int], int]:
-    """One JSON row of values in the integer form. A list of ASCII text
+def _parse_row(row: list[object]) -> tuple[list[int], int]:
+    """One JSON row of values in the integer form. A row of ASCII text
     entries ``p`` or ``p/q`` (decimal digits, q > 0) is read straight into
     ints: the row over the least common multiple of its denominators,
     reduced to lowest terms; plain integer rows have scale 1. Any other row
     goes through :func:`parse_value`."""
-    if type(row) is list:
-        try:
-            if "".join(row).isascii():
-                if all(map(str.isdigit, row)):
-                    return list(map(int, row)), 1
-                parts = [v.partition("/") for v in row]
-                if all(p.isdigit() and (q.isdigit() or not slash) for p, slash, q in parts):
-                    dens = [int(q or 1) for _, _, q in parts]
-                    if all(dens):
-                        return _scale_row([int(p) for p, _, _ in parts], dens)
-        except (TypeError, ValueError):  # an entry that is not text, or too many digits
-            pass
+    try:
+        if "".join(row).isascii():
+            if all(map(str.isdigit, row)):
+                return list(map(int, row)), 1
+            parts = [v.partition("/") for v in row]
+            if all(p.isdigit() and (q.isdigit() or not slash) for p, slash, q in parts):
+                dens = [int(q or 1) for _, _, q in parts]
+                if all(dens):
+                    return _scale_row([int(p) for p, _, _ in parts], dens)
+    except (TypeError, ValueError):  # an entry that is not text, or too many digits
+        pass
     values = [parse_value(v) for v in row]
     return _scale_row([v.numerator for v in values], [v.denominator for v in values])
 
@@ -285,7 +284,10 @@ class Instance:
         read by :func:`parse_value`; rows of plain ``p`` or ``p/q`` text skip
         the ``Fraction``s."""
         try:
-            scaled = [_parse_row(row) for row in data["values"]]
+            rows = data["values"]
+            if type(rows) is not list or not all(type(row) is list for row in rows):
+                raise DomainError("instance JSON values must be an array of arrays")
+            scaled = [_parse_row(row) for row in rows]
             meta = None
             if data.get("bivalued") is not None:
                 meta = tuple(

@@ -34,7 +34,7 @@ from .core import (
     parse_value,
 )
 from .elicitation import QueryOracle
-from .enclosures import pow_enclosure, sqrt_enclosure
+from .enclosures import pow_enclosure
 from .fullinfo import best_alpha_bruteforce, envy_cycle_heuristic
 from .ordinal import round_robin, rrla
 from .query_enhanced import (
@@ -210,10 +210,9 @@ def default_lambda(n: int, m: int, k: int) -> Value:
     """Smallest convenient rational >= max(1, n / m**(1/(2k-1)))."""
     if m >= n ** (2 * k - 1):
         return Fraction(1)
-    lam = Fraction(n) * pow_enclosure(m, -1, 2 * k - 1)[1]
-    while lam ** (2 * k - 1) * m < n ** (2 * k - 1):
-        lam *= Fraction(10**12 + 1, 10**12)
-    return max(lam, Fraction(1))
+    # The upper endpoint gives lam**(2k-1) * m >= n**(2k-1), and m < n**(2k-1)
+    # then forces lam > 1.
+    return Fraction(n) * pow_enclosure(m, -1, 2 * k - 1)[1]
 
 
 def execute(
@@ -291,16 +290,18 @@ def sweep(config: dict, out: TextIO) -> None:
     for job in config.get("runs", []):
         try:
             kind = job.get("kind", "uniform")
-            n = int(job["n"])
-            m = int(job["m"]) if "m" in job else None
-            k = int(job["k"]) if "k" in job else None
-            t = int(job["t"]) if "t" in job else None
+            for key in ("n", "m", "k", "t", "budget", "trials", "seed"):
+                # JSON integers only, as in Instance.from_json: not floats,
+                # booleans or text.
+                if key in job and type(job[key]) is not int:
+                    raise DomainError(f"job field {key!r} must be an integer, got {job[key]!r}")
+            n, m, k, t = job["n"], job.get("m"), job.get("k"), job.get("t")
+            budget = job.get("budget")
             lam = parse_value(job["lam"]) if "lam" in job else None
-            budget = int(job["budget"]) if "budget" in job else None
-            trials = int(job.get("trials", 1))
-            base_seed = int(job.get("seed", 0))
+            trials = job.get("trials", 1)
+            base_seed = job.get("seed", 0)
             algorithm = job["algorithm"]
-        except (AttributeError, KeyError, TypeError, ValueError, DomainError) as exc:
+        except (AttributeError, KeyError, DomainError) as exc:
             detail = f"job lacks {exc}" if isinstance(exc, KeyError) else str(exc)
             writer.writerow({"row": row_id, "error": f"{type(exc).__name__}: {detail}"})
             row_id += 1
@@ -376,9 +377,8 @@ def adversary_ordinal(n: int, m: int, algorithm: str) -> dict:
 
 def query_family_cap(family: QueryLBFamily) -> Value:
     """Upper endpoint of 2 * sqrt(k) * m**(-1/(2k-1))."""
-    sqrt_hi = sqrt_enclosure(family.k)[1]
     root_hi = pow_enclosure(family.m, -1, 2 * family.k - 1)[1]
-    return 2 * sqrt_hi * root_hi
+    return 2 * family.top_value_hi * root_hi
 
 
 def adversary_query(n: int, k: int, t: int, algorithm: str, budget: int) -> dict:

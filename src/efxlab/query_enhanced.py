@@ -8,7 +8,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .core import (
     Allocation,
@@ -109,24 +109,30 @@ def bucketize(oracle: QueryOracle, agent: int, k: int) -> AgentVirtualValuation:
     return AgentVirtualValuation(agent, top_values, thresholds, tuple(bounds))
 
 
-def _ranked_instance(
-    oracle: QueryOracle,
-    rows: Sequence[tuple[Value, Sequence[tuple[Value, int]]]],
-    bivalued_meta: Optional[Sequence[tuple[Value, Value]]] = None,
+def virtual_instance(
+    oracle: QueryOracle, virtuals: Sequence[AgentVirtualValuation]
 ) -> Instance:
-    """The instance whose row i is, along agent i's ranking, the (value,
-    count) runs of ``rows[i] = (rest, runs)``, best first, and ``rest`` on
-    every good after them.
+    """The proxy instance: along each agent's ranking, her queried top values,
+    then each bucket at its level's fraction of the anchor (her last top
+    value), then zeros.
 
-    Each row is put on the least common multiple of its values'
-    denominators, and every value but 0 occurs in it, so the row is in
-    lowest terms; it is written one run at a time over a row of ``rest``.
+    A row takes at most n-1+k values besides 0, as runs of equal values. It
+    is put on the least common multiple of those values' denominators, and
+    every value but 0 occurs in it, so the row is in lowest terms; it is
+    written one run at a time over a row of zeros.
     """
     rankings, m = oracle.ordinal_view().rankings, oracle.m
     scaled, scales = [], []
-    for ranking, (rest, runs) in zip(rankings, rows, strict=True):
-        scale = math.lcm(rest.denominator, *(v.denominator for v, _ in runs))
-        row = [rest.numerator * (scale // rest.denominator)] * m
+    for ranking, vv in zip(rankings, virtuals, strict=True):
+        anchor = vv.top_values[-1] if vv.top_values else Fraction(0)
+        runs = [(v, 1) for v in vv.top_values]
+        start = len(vv.top_values)
+        for level, bound in enumerate(vv.bucket_bounds):
+            if bound >= start:
+                runs.append((anchor * vv.thresholds[level], bound + 1 - start))
+                start = bound + 1
+        scale = math.lcm(*(v.denominator for v, _ in runs))
+        row = [0] * m
         pos = 0
         for v, count in runs:
             x = v.numerator * (scale // v.denominator)
@@ -135,30 +141,7 @@ def _ranked_instance(
             pos += count
         scaled.append(row)
         scales.append(scale)
-    return Instance.from_scaled(scaled, scales, bivalued_meta)
-
-
-def virtual_instance(
-    oracle: QueryOracle, virtuals: Sequence[AgentVirtualValuation]
-) -> Instance:
-    """The proxy instance: along each agent's ranking, her queried top values,
-    then each bucket at its level's fraction of the anchor (her last top
-    value), then zeros.
-
-    A row takes at most n-1+k values besides 0, as runs of equal values;
-    the trailing zeros are never touched.
-    """
-    rows = []
-    for vv in virtuals:
-        anchor = vv.top_values[-1] if vv.top_values else Fraction(0)
-        runs = [(v, 1) for v in vv.top_values]
-        start = len(vv.top_values)
-        for level, bound in enumerate(vv.bucket_bounds):
-            if bound >= start:
-                runs.append((anchor * vv.thresholds[level], bound + 1 - start))
-                start = bound + 1
-        rows.append((0, runs))
-    return _ranked_instance(oracle, rows)
+    return Instance.from_scaled(scaled, scales)
 
 
 def virtual_efx(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -36,8 +37,11 @@ from efxlab.enclosures import _exact_nth_root, integer_nth_root as library_integ
 
 def instance_from_json(data: dict) -> Instance:
     """``Instance.from_json`` parsing every value into a ``Fraction``; ``n``
-    and ``m`` must be JSON integers (not booleans) and the rows' shape."""
+    and ``m`` must be JSON integers (not booleans) and the rows' shape, and
+    ``values`` and each row JSON arrays."""
     try:
+        if type(data["values"]) is not list or not all(type(r) is list for r in data["values"]):
+            raise DomainError("instance JSON values must be an array of arrays")
         values = tuple(tuple(parse_value(v) for v in row) for row in data["values"])
         meta = None
         if data.get("bivalued") is not None:
@@ -194,8 +198,19 @@ def prioritized_max_matching(
     return match_of_agent
 
 
+def round_state(n: int, m: int) -> SimpleNamespace:
+    """The bookkeeping :func:`match_freeze_round` updates, before the first round."""
+    return SimpleNamespace(
+        freeze_counters=[0] * n,
+        pool=set(range(m)),
+        bundles=[set() for _ in range(n)],
+        frozen_events=[],
+    )
+
+
 def match_freeze_round(instance: Instance, participants: Sequence[int], state) -> None:
-    """One round, with the high edges rebuilt from the sorted pool."""
+    """One round, with the priority and the high edges rebuilt from the
+    instance and the sorted pool."""
     meta = instance.bivalued_meta
     unfrozen = []
     for i in participants:
@@ -430,13 +445,9 @@ def match_and_freeze(instance: Instance) -> Allocation:
         if low == 0:
             raise bivalued.ZeroLowValue(f"agent {i} has low value 0")
     agents = list(range(instance.n))
-    state = bivalued.MatchFreezeState(
-        freeze_counters=[0] * instance.n,
-        pool=set(range(instance.m)),
-        bundles=[set() for _ in range(instance.n)],
-    )
+    state = round_state(instance.n, instance.m)
     while state.pool:
-        bivalued.match_freeze_round(instance, agents, state)
+        match_freeze_round(instance, agents, state)
     return Allocation(tuple(frozenset(b) for b in state.bundles), complete=True)
 
 
@@ -459,15 +470,11 @@ def mfrr(oracle) -> Allocation:
             flat.append(i)
     uncovered = uncovered_instance(oracle, transitions)
     matched_agents = sorted(transitions)
-    state = bivalued.MatchFreezeState(
-        freeze_counters=[0] * n,
-        pool=set(range(m)),
-        bundles=[set() for _ in range(n)],
-    )
+    state = round_state(n, m)
     cursor = [0] * n
     while state.pool:
         if matched_agents:
-            bivalued.match_freeze_round(uncovered, matched_agents, state)
+            match_freeze_round(uncovered, matched_agents, state)
         for i in flat:
             if not state.pool:
                 break

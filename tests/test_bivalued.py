@@ -104,13 +104,13 @@ def test_freeze_at_most_once_per_run():
         n = rng.randint(2, 5)
         m = rng.randint(2, 25)
         inst = random_bivalued(rng, n, m)
-        state = MatchFreezeState(
-            freeze_counters=[0] * n,
-            pool=set(range(m)),
-            bundles=[set() for _ in range(n)],
-        )
+        meta = dict(enumerate(inst.bivalued_meta))
+        high_goods = {
+            i: [g for g, v in enumerate(inst.values[i]) if v == h] for i, (h, _) in meta.items()
+        }
+        state = MatchFreezeState.start(n, m, meta, high_goods)
         while state.pool:
-            match_freeze_round(inst, list(range(n)), state)
+            match_freeze_round(state)
         assert len(state.frozen_events) == len(set(state.frozen_events))
 
 

@@ -13,6 +13,7 @@ from efxlab import (
     CompletenessError,
     DomainError,
     Instance,
+    InvalidAllocation,
     OverlapError,
     PreferenceProfile,
     build_ranking,
@@ -136,6 +137,24 @@ def test_validate_completeness_mismatch():
         )
 
 
+def test_validate_bundle_count():
+    with pytest.raises(InvalidAllocation, match="expected 2 bundles, got 3"):
+        validate(inst([[1, 1], [1, 1]]), Allocation.from_bundles([[0], [1], []]))
+
+
+@pytest.mark.parametrize(
+    "bundles,message",
+    [([[0, 4], [1, 3, 2]], "bundle 1 references unknown good 2"),
+     ([[0, 7], [1, -1]], "bundle 1 references unknown good -1"),
+     ([[-3, 5], [1, -1]], "bundle 0 references unknown good -3")],
+    ids=["beyond-m", "negative", "lowest-of-several"],
+)
+def test_validate_reports_the_lowest_unknown_good(bundles, message):
+    allocation = Allocation.from_bundles(bundles, complete=False)
+    with pytest.raises(InvalidAllocation, match=f"^{message}$"):
+        validate(inst([[1, 1], [1, 1]]), allocation)
+
+
 def test_instance_invariants():
     with pytest.raises(DomainError):
         Instance.from_rows([[Fraction(-1)]])
@@ -250,6 +269,32 @@ def test_instance_is_immutable_and_round_trips():
     assert eval(repr(instance), {"Instance": Instance, "Fraction": Fraction}) == instance
     assert pickle.loads(pickle.dumps(instance)) == instance
     assert hash(pickle.loads(pickle.dumps(instance))) == hash(instance)
+
+
+@pytest.mark.parametrize(
+    "entry,value",
+    [("2", Fraction(2)), ("1e2", Fraction(100)), ('"0.5"', Fraction(1, 2)), ("0.1", Fraction(1, 10))],
+    ids=["json-int", "json-exponent", "decimal-text", "json-float"],
+)
+def test_from_json_reads_other_entries_by_parse_value(entry, value):
+    instance = Instance.loads(f'{{"n": 1, "m": 2, "values": [["1/3", {entry}]]}}')
+    assert instance.values == ((Fraction(1, 3), value),)
+
+
+def test_json_float_reads_as_its_decimal_but_from_rows_keeps_it_binary():
+    assert Instance.loads('{"n": 1, "m": 1, "values": [[0.1]]}').values[0][0] == Fraction(1, 10)
+    assert Instance.from_rows([[0.1]]).values[0][0] == Fraction(0.1) != Fraction(1, 10)
+
+
+@pytest.mark.parametrize(
+    "entry,message",
+    [('"-1"', "negative value"), ("-1", "negative value"), ("null", "not a rational value"),
+     ("true", "not a rational value")],
+    ids=["negative-text", "negative-number", "null", "bool"],
+)
+def test_from_json_rejects_other_entries_by_parse_value(entry, message):
+    with pytest.raises(DomainError, match=message):
+        Instance.loads(f'{{"n": 1, "m": 2, "values": [["1", {entry}]]}}')
 
 
 def test_instance_json_round_trip():

@@ -237,7 +237,7 @@ def test_sweep_bad_row_is_recorded_and_sweep_continues():
     sweep(config, out)
     rows = list(csv.DictReader(io.StringIO(out.getvalue())))
     assert [r["row"] for r in rows] == ["0", "1"]
-    assert rows[0]["error"].startswith("ValueError") and "'two'" in rows[0]["error"]
+    assert rows[0]["error"].startswith("DomainError") and "'two'" in rows[0]["error"]
     assert rows[0]["alpha_efx"] == ""
     assert rows[1]["error"] == "" and rows[1]["bound_ok"] == "True"
 
@@ -246,10 +246,19 @@ def test_sweep_bad_row_is_recorded_and_sweep_continues():
     "job,error",
     [({"m": 6, "algorithm": "rrla"}, "KeyError: job lacks 'n'"),
      ({"n": 2, "m": 6}, "KeyError: job lacks 'algorithm'"),
-     ({"n": 2, "m": [6], "algorithm": "rrla"}, "TypeError"),
+     ({"n": 2, "m": [6], "algorithm": "rrla"}, "DomainError: job field 'm'"),
      ({"n": 2, "m": 6, "algorithm": "prr", "lam": "abc"}, "DomainError: not a rational value"),
-     ("not a job", "AttributeError")],
-    ids=["no-n", "no-algorithm", "list-m", "bad-lambda", "not-an-object"],
+     ("not a job", "AttributeError"),
+     ({"n": 2.7, "m": 6, "algorithm": "rrla"}, "DomainError: job field 'n' must be an integer"),
+     ({"n": 2, "m": True, "algorithm": "rrla"}, "DomainError: job field 'm' must be an integer"),
+     ({"n": 2, "m": 6, "seed": "3", "algorithm": "rrla"}, "DomainError: job field 'seed'"),
+     ({"n": 2, "m": 6, "trials": 1.9, "algorithm": "rrla"}, "DomainError: job field 'trials'"),
+     ({"n": 2, "m": 6, "k": 1.0, "algorithm": "prr"}, "DomainError: job field 'k'"),
+     ({"kind": "query_lb", "n": 2, "k": 2, "t": "3", "algorithm": "prr"},
+      "DomainError: job field 't'"),
+     ({"n": 2, "m": 6, "budget": False, "algorithm": "rrla"}, "DomainError: job field 'budget'")],
+    ids=["no-n", "no-algorithm", "list-m", "bad-lambda", "not-an-object", "float-n", "bool-m",
+         "text-seed", "float-trials", "float-k", "text-t", "bool-budget"],
 )
 def test_sweep_malformed_jobs_give_error_rows(job, error):
     out = io.StringIO()
@@ -302,6 +311,24 @@ def test_cli_non_integer_shape_exits_2(tmp_path, capsys, field, bad):
     ):
         assert main(argv) == EXIT_VALIDATION
         assert "integer n and m" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "shape,values", [((2, 2), [["1", "2"], "34"]), ((2, 1), "12")], ids=["text-row", "text-values"]
+)
+def test_cli_values_that_are_not_arrays_exit_2(tmp_path, capsys, shape, values):
+    # Read as characters, the text would have the declared shape.
+    data = {"n": shape[0], "m": shape[1], "values": values}
+    path = write_instance(tmp_path, json.dumps(data))
+    allocation = tmp_path / "alloc.json"
+    allocation.write_text(json.dumps({"bundles": [[0], []]}))
+    for argv in (
+        ["run", "--instance", path, "--alg", "rrla"],
+        ["oracle", "--instance", path],
+        ["verify", "--instance", path, "--allocation", str(allocation)],
+    ):
+        assert main(argv) == EXIT_VALIDATION
+        assert "array of arrays" in capsys.readouterr().err
 
 
 def test_cli_missing_files_exit_2(tmp_path, capsys):

@@ -36,13 +36,8 @@ from efxlab import (
     query_lb_build,
     validate,
 )
-from efxlab import bivalued, core, elicitation, harness, query_enhanced
-from efxlab.bivalued import (
-    MatchFreezeState,
-    discover_transition,
-    match_freeze_round,
-    prioritized_max_matching,
-)
+from efxlab import core, elicitation, harness, query_enhanced
+from efxlab.bivalued import MatchFreezeState, match_freeze_round, prioritized_max_matching
 from efxlab.query_enhanced import bucketize, virtual_instance
 
 # Values whose scaled rows overflow the int64 rule and take the object path.
@@ -140,22 +135,6 @@ def test_virtual_instance_matches_fraction_rows(instance, k):
     assert proxy.scaled_values.dtype == expected.scaled_values.dtype
 
 
-@settings(max_examples=200, deadline=None)
-@given(instances(bivalued_meta=True, m_at_least_n=True))
-def test_uncovered_instance_matches_fraction_rows(instance):
-    oracle = QueryOracle(instance)
-    transitions = {}
-    for i in range(instance.n):
-        info = discover_transition(oracle, i)
-        if info is not None:
-            transitions[i] = info
-    uncovered = bivalued._uncovered_instance(oracle, transitions)
-    expected = ref.uncovered_instance(oracle, transitions)
-    assert uncovered == expected
-    assert uncovered.scales == expected.scales
-    assert uncovered.scaled_values.dtype == expected.scaled_values.dtype
-
-
 @st.composite
 def allocations(draw, n: int, m: int):
     """Possibly incomplete, possibly with empty bundles."""
@@ -172,9 +151,8 @@ def reference_code() -> ExitStack:
     stack.enter_context(
         mock.patch.object(query_enhanced, "fairness_report", ref.fairness_report)
     )
-    stack.enter_context(
-        mock.patch.object(bivalued, "match_freeze_round", ref.match_freeze_round)
-    )
+    stack.enter_context(mock.patch.object(harness, "match_and_freeze", ref.match_and_freeze))
+    stack.enter_context(mock.patch.object(harness, "mfrr", ref.mfrr))
     stack.enter_context(
         mock.patch.dict(harness.BLACKBOXES, {"envy_cycle": ref.envy_cycle_heuristic})
     )
@@ -339,17 +317,15 @@ def test_envy_cycle_rotates_like_the_reference():
 @settings(max_examples=150, deadline=None)
 @given(instances(bivalued_meta=True))
 def test_match_freeze_rounds_match_reference(instance):
-    def fresh():
-        return MatchFreezeState(
-            freeze_counters=[0] * instance.n,
-            pool=set(range(instance.m)),
-            bundles=[set() for _ in range(instance.n)],
-        )
-
+    meta = dict(enumerate(instance.bivalued_meta))
+    high_goods = {
+        i: [g for g, v in enumerate(instance.values[i]) if v == h] for i, (h, _) in meta.items()
+    }
+    new = MatchFreezeState.start(instance.n, instance.m, meta, high_goods)
+    old = ref.round_state(instance.n, instance.m)
     agents = list(range(instance.n))
-    new, old = fresh(), fresh()
     while new.pool:
-        match_freeze_round(instance, agents, new)
+        match_freeze_round(new)
         ref.match_freeze_round(instance, agents, old)
         assert (new.pool, new.bundles, new.freeze_counters, new.frozen_events) == (
             old.pool,
@@ -482,6 +458,16 @@ def test_from_json_needs_json_integers_for_n_and_m(field, bad):
     data[field] = bad
     for parse in (Instance.from_json, ref.instance_from_json):
         with pytest.raises(DomainError, match="integer"):
+            parse(data)
+
+
+@pytest.mark.parametrize(
+    "shape,values", [((2, 2), [["1", "2"], "34"]), ((2, 1), "12")], ids=["text-row", "text-values"]
+)
+def test_from_json_needs_json_arrays_for_values_and_rows(shape, values):
+    data = {"n": shape[0], "m": shape[1], "values": values}
+    for parse in (Instance.from_json, ref.instance_from_json):
+        with pytest.raises(DomainError, match="array of arrays"):
             parse(data)
 
 
