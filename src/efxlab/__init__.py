@@ -54,7 +54,6 @@ from .adversarial import (
     query_adversary_complete,
     query_lb_build,
 )
-from .enclosures import nth_root_enclosure, pow_enclosure, sqrt_enclosure
 
 __all__ = [
     "Allocation", "CompletenessError", "DomainError", "FairDivisionError", "FairnessReport",
@@ -67,5 +66,4 @@ __all__ = [
     "NotBivalued", "ZeroLowValue", "match_and_freeze", "mfrr", "two_query_bivalued",
     "InconsistentTranscript", "OrdinalLBFamily", "QueryLBFamily", "ordinal_adversary_pick",
     "ordinal_lb_build", "query_adversary_complete", "query_lb_build",
-    "nth_root_enclosure", "pow_enclosure", "sqrt_enclosure",
 ]

@@ -279,15 +279,19 @@ def sweep(config: dict, out: TextIO) -> None:
     """Run every configured job and write one CSV row per run.
 
     Jobs are independent; failures are recorded in the row's error column
-    and the sweep continues. A job whose fields do not parse gives one row
-    with the error. Output row order follows the config.
+    and the sweep continues. A job whose fields do not parse, or that asks
+    for fewer than one trial, gives one row with the error. Output row order
+    follows the config, whose ``runs`` must be a JSON array.
     """
     if not isinstance(config, dict):
         raise DomainError("a sweep config must be a JSON object")
+    runs = config.get("runs", [])
+    if type(runs) is not list:
+        raise DomainError(f"sweep runs must be a JSON array, got {runs!r}")
     writer = csv.DictWriter(out, fieldnames=SWEEP_COLUMNS)
     writer.writeheader()
     row_id = 0
-    for job in config.get("runs", []):
+    for job in runs:
         try:
             kind = job.get("kind", "uniform")
             for key in ("n", "m", "k", "t", "budget", "trials", "seed"):
@@ -299,6 +303,8 @@ def sweep(config: dict, out: TextIO) -> None:
             budget = job.get("budget")
             lam = parse_value(job["lam"]) if "lam" in job else None
             trials = job.get("trials", 1)
+            if trials < 1:
+                raise DomainError(f"job field 'trials' must be >= 1, got {trials}")
             base_seed = job.get("seed", 0)
             algorithm = job["algorithm"]
         except (AttributeError, KeyError, DomainError) as exc:

@@ -21,7 +21,7 @@ from .core import (
     trivial_few_goods_allocation,
 )
 from .elicitation import QueryOracle
-from .enclosures import pow_enclosure, sqrt_enclosure
+from .enclosures import integer_nth_root, pow_enclosure, sqrt_enclosure
 from .ordinal import round_robin
 
 FullInfoAllocator = Callable[[Instance], Allocation]
@@ -172,6 +172,8 @@ def virtual_efx(
 
 def virtual_efx_bound(m: int, k: int, measured_rho: Value) -> Value:
     """Guaranteed EFX floor rho' / (2 m**(1/(k+1))), rounded down to stay fair."""
+    if k < 1 or m < 1:
+        raise ParamDomainError(f"need k >= 1 and m >= 1, got k={k}, m={m}")
     root_hi = pow_enclosure(m, 1, k + 1)[1]
     return measured_rho / (2 * root_hi)
 
@@ -198,32 +200,29 @@ class PRRParams:
 def theorem5_params(n: int, m: int, k: int, lam: Value) -> PRRParams:
     """Parameterization achieving the query/EFX tradeoff guarantee.
 
-    Sizes are ceil(lam * m**((2l-1)/(2k-1))); thresholds are upper rational
-    enclosures of sqrt(k) * m**(2l/(2k-1)). Requires
+    Sizes are exactly ceil(lam * m**((2l-1)/(2k-1))); thresholds are upper
+    rational enclosures of sqrt(k) * m**(2l/(2k-1)). Requires
     lam >= max(1, n / m**(1/(2k-1))), checked exactly via
     lam**(2k-1) * m >= n**(2k-1).
     """
     if k < 1:
         raise ParamDomainError("k must be >= 1")
     lam = Fraction(lam)
-    if lam < 1 or lam ** (2 * k - 1) * m < n ** (2 * k - 1):
+    q = 2 * k - 1
+    if lam < 1 or lam**q * m < n**q:
         raise ParamDomainError(
             "lam must be at least max(1, n / m**(1/(2k-1)))"
         )
     sqrt_k_hi = sqrt_enclosure(k)[1]
+    lam_num, lam_den = lam.numerator**q, lam.denominator**q
     alphas = []
     betas = []
     for level in range(1, k):
-        rel = Fraction(1, 10**12)
-        while True:
-            lo, hi = pow_enclosure(m, 2 * level - 1, 2 * k - 1, rel)
-            a_lo = math.ceil(lam * lo)
-            a_hi = math.ceil(lam * hi)
-            if a_lo == a_hi or rel < Fraction(1, 10**40):
-                break
-            rel /= 10**6
-        alphas.append(a_hi)
-        betas.append(sqrt_k_hi * pow_enclosure(m, 2 * level, 2 * k - 1)[1])
+        # The least a with a**q >= lam**q * m**(2l-1), which is also the least
+        # a with a**q >= the ceiling of that rational.
+        ceiling = -(-lam_num * m ** (2 * level - 1) // lam_den)
+        alphas.append(integer_nth_root(ceiling - 1, q) + 1)
+        betas.append(sqrt_k_hi * pow_enclosure(m, 2 * level, q)[1])
     if sum(alphas) >= m:
         raise ParamDomainError("segment sizes must leave goods for the final segment")
     return PRRParams(k=k, alpha=tuple(alphas), beta=tuple(betas))
@@ -231,6 +230,8 @@ def theorem5_params(n: int, m: int, k: int, lam: Value) -> PRRParams:
 
 def theorem5_bound(n: int, m: int, k: int, lam: Value) -> Value:
     """Lower endpoint of the guaranteed EFX floor for theorem5 parameters."""
+    if k < 1 or m < 1:
+        raise ParamDomainError(f"need k >= 1 and m >= 1, got k={k}, m={m}")
     sqrt_k_hi = sqrt_enclosure(k)[1]
     root_hi = pow_enclosure(m, 1, 2 * k - 1)[1]
     lam = Fraction(lam)

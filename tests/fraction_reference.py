@@ -5,7 +5,8 @@ exhaustive oracles' per-call row scaling and their chunked enumeration, the
 ``Fraction``-row builds of the ``virtual_efx`` proxy and mfrr's uncovered
 instance, the match-freeze and mfrr drivers with their own round loops, the
 grouped ``prr`` round loop, the recursive matching, the root enclosure bisected in
-``Fraction`` arithmetic, the harness's per-algorithm dispatch chains and the
+``Fraction`` arithmetic with ``theorem5_params``' segment-size refine loop on top,
+the harness's per-algorithm dispatch chains and the
 query adversary over ``Fraction`` rows. The differential tests run the library against these
 and require identical outputs; nothing outside the tests imports this module.
 """
@@ -32,7 +33,7 @@ from efxlab.core import (
     parse_value,
 )
 from efxlab import adversarial, bivalued, core, elicitation, harness, ordinal, query_enhanced
-from efxlab.enclosures import _exact_nth_root, integer_nth_root as library_integer_nth_root
+from efxlab.enclosures import integer_nth_root as library_integer_nth_root
 
 
 def instance_from_json(data: dict) -> Instance:
@@ -558,6 +559,17 @@ def integer_nth_root(x: int, q: int) -> int:
     return r
 
 
+def _exact_nth_root(t: Fraction, q: int) -> Fraction | None:
+    """Return t**(1/q) if it is rational, else None."""
+    rn = library_integer_nth_root(t.numerator, q)
+    if rn**q != t.numerator:
+        return None
+    rd = library_integer_nth_root(t.denominator, q)
+    if rd**q != t.denominator:
+        return None
+    return Fraction(rn, rd)
+
+
 def _root_guess(t: Fraction, q: int) -> Fraction:
     e = 64 - (t.numerator.bit_length() - t.denominator.bit_length()) // q
     scaled = t * Fraction(2) ** (q * e)
@@ -593,6 +605,25 @@ def nth_root_enclosure(t: Fraction, q: int, rel_width: Fraction) -> tuple[Fracti
         else:
             hi = mid
     return lo, hi
+
+
+def theorem5_segment_sizes(m: int, k: int, lam: Fraction) -> tuple[int, ...]:
+    """``theorem5_params``' sizes ceil(lam * m**((2l-1)/(2k-1))) as its refine
+    loop found them: the ceiling of lam times the upper endpoint, once both
+    endpoints give the same ceiling, narrowing the width from 1e-12 by 1e-6
+    until it drops below 1e-40."""
+    sizes = []
+    for level in range(1, k):
+        g = math.gcd(2 * level - 1, 2 * k - 1)
+        t, q = Fraction(m) ** ((2 * level - 1) // g), (2 * k - 1) // g
+        rel = Fraction(1, 10**12)
+        while True:
+            lo, hi = nth_root_enclosure(t, q, rel)
+            if math.ceil(lam * lo) == math.ceil(lam * hi) or rel < Fraction(1, 10**40):
+                break
+            rel /= 10**6
+        sizes.append(math.ceil(lam * hi))
+    return tuple(sizes)
 
 
 # The exhaustive oracles as they were before the prefix x suffix tables:

