@@ -18,7 +18,6 @@ from .core import (
     DomainError,
     FairDivisionError,
     Instance,
-    Value,
     pair_factor,
     validate,
 )
@@ -54,7 +53,7 @@ def ordinal_lb_build(n: int, m: int) -> OrdinalLBFamily:
 
 def ordinal_adversary_pick(
     family: OrdinalLBFamily, allocation: Allocation
-) -> tuple[Instance, Value]:
+) -> tuple[Instance, Fraction]:
     """Choose the consistent valuation under which the allocation fares worst.
 
     If some top-(n-1) good sits in a bundle of size >= 2 the sparse
@@ -82,11 +81,11 @@ class QueryLBFamily:
     m: int
     segment_sizes: tuple[int, ...]  # sizes of the k-1 middle segments
     block_size: int  # size of the trailing zero block
-    top_value: Value  # rational stand-in for sqrt(k) (lower enclosure)
-    top_value_hi: Value  # matching upper enclosure
+    top_value: Fraction  # rational stand-in for sqrt(k) (lower enclosure)
+    top_value_hi: Fraction  # matching upper enclosure
     revealed: Instance  # every agent at the revealed values
 
-    def segment_value(self, level: int) -> Value:
+    def segment_value(self, level: int) -> Fraction:
         """Revealed value of goods in middle segment ``level`` (1-based)."""
         return Fraction(1, self.t ** (2 * level))
 
@@ -127,7 +126,7 @@ def query_lb_build(n: int, k: int, t: int) -> QueryLBFamily:
     )
 
 
-def _on_scale(value: Value, scale: int) -> int:
+def _on_scale(value: Fraction, scale: int) -> int:
     """``value * scale`` as an int; the value's denominator must divide the scale."""
     scaled, rest = divmod(value.numerator * scale, value.denominator)
     if rest:
@@ -137,7 +136,7 @@ def _on_scale(value: Value, scale: int) -> int:
 
 def query_adversary_complete(
     family: QueryLBFamily, transcript: Transcript, allocation: Allocation
-) -> tuple[Instance, Value]:
+) -> tuple[Instance, Fraction]:
     """Pick a consistent completion minimizing the achieved EFX factor.
 
     Mirrors the family's case analysis: a top good in a bundle of size two

@@ -22,7 +22,6 @@ from .core import (
     DomainError,
     FairDivisionError,
     Instance,
-    Value,
     trivial_few_goods_allocation,
 )
 from .elicitation import QueryOracle
@@ -61,7 +60,7 @@ class MatchFreezeState:
         cls,
         n: int,
         m: int,
-        meta: dict[int, tuple[Value, Value]],
+        meta: dict[int, tuple[Fraction, Fraction]],
         high_goods: dict[int, list[int]],
     ) -> "MatchFreezeState":
         """The state before the first round of n agents over m goods; ``meta``
@@ -129,7 +128,7 @@ def prioritized_max_matching(
     return match_of_agent
 
 
-def _high_goods(instance: Instance, agent: int, high: Value) -> list[int]:
+def _high_goods(instance: Instance, agent: int, high: Fraction) -> list[int]:
     """The agent's goods worth ``high``, her high value, ascending."""
     row = instance.scaled_values[agent]
     top = int(row[row.argmax()])
@@ -223,8 +222,8 @@ def match_and_freeze(instance: Instance) -> Allocation:
 class TransitionInfo:
     """Uncovered valuation of an agent with a high-to-low drop in her top-n."""
 
-    high: Value
-    low: Value
+    high: Fraction
+    low: Fraction
     transition_rank: int  # 1-based rank of the first low-valued good
 
 
@@ -270,7 +269,7 @@ def mfrr(oracle: QueryOracle) -> Allocation:
     if m < n:
         return trivial_few_goods_allocation(n, m)
     rankings = oracle.ordinal_view().rankings
-    meta: dict[int, tuple[Value, Value]] = {}
+    meta: dict[int, tuple[Fraction, Fraction]] = {}
     high_goods: dict[int, list[int]] = {}
     flat: list[int] = []
     for i in range(n):

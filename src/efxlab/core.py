@@ -18,8 +18,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-Value = Fraction
-
 
 class FairDivisionError(Exception):
     """Base class for all errors raised by this package."""
@@ -41,7 +39,7 @@ class CompletenessError(InvalidAllocation):
     """Completeness flag disagrees with the allocated goods."""
 
 
-def parse_value(text: str | int) -> Value:
+def parse_value(text: str | int) -> Fraction:
     """Parse "p/q", decimal, or integer text into an exact rational."""
     try:
         v = Fraction(str(text))
@@ -52,13 +50,13 @@ def parse_value(text: str | int) -> Value:
     return v
 
 
-def format_value(v: Value) -> str:
+def format_value(v: Fraction) -> str:
     if v.denominator == 1:
         return str(v.numerator)
     return f"{v.numerator}/{v.denominator}"
 
 
-def _rational(v: object) -> Value:
+def _rational(v: object) -> Fraction:
     """``Fraction(v)`` for an int, Fraction, float or rational text (a float
     keeps its exact binary value); anything else is a :class:`DomainError`."""
     try:
@@ -136,8 +134,7 @@ class Instance:
     row is in lowest terms: gcd(scales[i], *row) == 1. Ratios of one agent's
     values, and so her ranking and all her envy ratios, are those of the
     rationals; values of different agents are on different scales and must
-    not be compared. ``values`` is the ``Fraction`` view, built on first use;
-    the package itself reads only the integer form.
+    not be compared.
 
     ``bivalued_meta`` optionally records per-agent (high, low) value pairs;
     when present every entry of that agent's row must be one of the two.
@@ -147,13 +144,13 @@ class Instance:
     integer form itself.
     """
 
-    __slots__ = ("n", "m", "scaled_values", "scales", "bivalued_meta", "_values", "_ranking")
+    __slots__ = ("n", "m", "scaled_values", "scales", "bivalued_meta", "_ranking")
 
     @staticmethod
     def from_scaled(
         rows: Sequence[Sequence[int]],
         scales: Sequence[int],
-        bivalued_meta: Optional[Sequence[tuple[Value, Value]]] = None,
+        bivalued_meta: Optional[Sequence[tuple[Fraction, Fraction]]] = None,
     ) -> "Instance":
         """The instance whose agent i values good g at ``rows[i][g] / scales[i]``.
 
@@ -176,7 +173,7 @@ class Instance:
     def _store(
         rows: list[list[int]],
         scales: tuple[int, ...],
-        bivalued_meta: Optional[Sequence[tuple[Value, Value]]],
+        bivalued_meta: Optional[Sequence[tuple[Fraction, Fraction]]],
         shape: Optional[tuple[int, int]] = None,
     ) -> "Instance":
         """The instance of rows already in the integer form; ``shape`` is the
@@ -203,8 +200,8 @@ class Instance:
                     bad = Fraction(int(matrix[i][allowed.argmin()]), scales[i])
                     raise DomainError(f"agent {i}: value {bad} is neither h={h} nor l={low}")
         instance = object.__new__(Instance)
-        # The cached Fraction view and ranking start empty.
-        for name, value in zip(Instance.__slots__, (n, m, matrix, scales, meta, None, None)):
+        # The cached ranking starts empty.
+        for name, value in zip(Instance.__slots__, (n, m, matrix, scales, meta, None)):
             object.__setattr__(instance, name, value)
         return instance
 
@@ -213,17 +210,6 @@ class Instance:
 
     def __reduce__(self):
         return Instance.from_scaled, (self.scaled_values.tolist(), self.scales, self.bivalued_meta)
-
-    @property
-    def values(self) -> tuple[tuple[Value, ...], ...]:
-        """The values as ``Fraction``s, built once on first use."""
-        if self._values is None:
-            values = tuple(
-                tuple(Fraction(x, scale) for x in row)
-                for row, scale in zip(self.scaled_values.tolist(), self.scales)
-            )
-            object.__setattr__(self, "_values", values)
-        return self._values
 
     def _key(self) -> tuple:
         return (self.n, self.m, self.scales, self.bivalued_meta)
@@ -247,8 +233,8 @@ class Instance:
 
     @staticmethod
     def from_rows(
-        rows: Sequence[Sequence[Value | int | float | str]],
-        bivalued_meta: Optional[Sequence[tuple[Value, Value]]] = None,
+        rows: Sequence[Sequence[Fraction | int | float | str]],
+        bivalued_meta: Optional[Sequence[tuple[Fraction, Fraction]]] = None,
     ) -> "Instance":
         """Rows of ints, ``Fraction``s, floats or rational text. Rows of plain
         ints are already the integer form (scale 1) and are stored as they are."""
@@ -372,11 +358,10 @@ class FairnessReport:
     constrains.
     """
 
-    alpha_efx: Value
-    alpha_ef1: Value
+    alpha_efx: Fraction
+    alpha_ef1: Fraction
     efx_binding: Optional[tuple[int, int, int]] = None
     ef1_binding: Optional[tuple[int, int, int]] = None
-    raw_efx_ratio: Optional[Value] = None
 
 
 def build_ranking(instance: Instance) -> PreferenceProfile:
@@ -461,7 +446,6 @@ def fairness_report(instance: Instance, allocation: Allocation) -> FairnessRepor
     # Factors as (numerator, denominator) pairs of one agent's scaled ints,
     # compared by cross-multiplication; both capped factors start at 1.
     efx, ef1 = (1, 1), (1, 1)
-    raw_efx: Optional[tuple[int, int]] = None
     efx_pair: Optional[tuple[int, int]] = None
     ef1_pair: Optional[tuple[int, int]] = None
     for i in range(n):
@@ -470,11 +454,8 @@ def fairness_report(instance: Instance, allocation: Allocation) -> FairnessRepor
             if j == i:
                 continue
             efx_den = sums[i][c] - least[i][c]
-            if efx_den > 0:
-                if raw_efx is None or mine * raw_efx[1] < raw_efx[0] * efx_den:
-                    raw_efx = (mine, efx_den)
-                if mine * efx[1] < efx[0] * efx_den:
-                    efx, efx_pair = (mine, efx_den), (i, c)
+            if efx_den > 0 and mine * efx[1] < efx[0] * efx_den:
+                efx, efx_pair = (mine, efx_den), (i, c)
             ef1_den = sums[i][c] - most[i][c]
             if ef1_den > 0 and mine * ef1[1] < ef1[0] * ef1_den:
                 ef1, ef1_pair = (mine, ef1_den), (i, c)
@@ -487,18 +468,12 @@ def fairness_report(instance: Instance, allocation: Allocation) -> FairnessRepor
         goods = np.array(sorted(bundles[filled[c]]))
         return i, filled[c], int(goods[(values[i, goods] == extreme[i][c]).argmax()])
 
-    efx_binding = binding(efx_pair, least)
-    ef1_binding = binding(ef1_pair, most)
     return FairnessReport(
-        Fraction(*efx),
-        Fraction(*ef1),
-        efx_binding,
-        ef1_binding,
-        Fraction(*raw_efx) if raw_efx is not None else None,
+        Fraction(*efx), Fraction(*ef1), binding(efx_pair, least), binding(ef1_pair, most)
     )
 
 
-def pair_factor(instance: Instance, allocation: Allocation, i: int, j: int) -> Value:
+def pair_factor(instance: Instance, allocation: Allocation, i: int, j: int) -> Fraction:
     """Agent i's capped EFX factor towards bundle j, the pair term of
     :func:`fairness_report`: min(1, v_i(X_i) / (v_i(X_j) - min_{g in X_j} v_i(g))),
     or 1 when X_j is empty or that denominator is not positive. The allocation

@@ -17,7 +17,6 @@ from .core import (
     FairDivisionError,
     Instance,
     PreferenceProfile,
-    Value,
     build_ranking,
 )
 
@@ -30,7 +29,7 @@ class BudgetExceeded(FairDivisionError):
 class Transcript:
     """Ordered record of answered queries."""
 
-    entries: tuple[tuple[int, int, Value], ...]
+    entries: tuple[tuple[int, int, Fraction], ...]
 
 
 class QueryOracle:
@@ -42,8 +41,8 @@ class QueryOracle:
         self._hidden = instance
         self._profile = build_ranking(instance)
         self._budget = budget
-        self._answers: dict[tuple[int, int], Value] = {}
-        self._entries: list[tuple[int, int, Value]] = []
+        # In the order first asked, so the answers are also the transcript.
+        self._answers: dict[tuple[int, int], Fraction] = {}
         self._counts = [0] * instance.n
 
     @property
@@ -54,7 +53,7 @@ class QueryOracle:
     def m(self) -> int:
         return self._hidden.m
 
-    def query(self, agent: int, good: int) -> Value:
+    def query(self, agent: int, good: int) -> Fraction:
         """Return the hidden value, recording and charging a fresh query."""
         if not 0 <= agent < self.n:
             raise FairDivisionError(f"agent index {agent} out of range")
@@ -70,7 +69,6 @@ class QueryOracle:
         hidden = self._hidden
         value = Fraction(int(hidden.scaled_values[agent, good]), hidden.scales[agent])
         self._answers[key] = value
-        self._entries.append((agent, good, value))
         self._counts[agent] += 1
         return value
 
@@ -82,7 +80,7 @@ class QueryOracle:
         return {i: c for i, c in enumerate(self._counts)}
 
     def transcript(self) -> Transcript:
-        return Transcript(tuple(self._entries))
+        return Transcript(tuple((a, g, v) for (a, g), v in self._answers.items()))
 
     def hidden_instance(self) -> Instance:
         """The ground truth. For measurement and tests only, never for algorithms."""

@@ -19,7 +19,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import Allocation, FairDivisionError, Instance, Value
+from .core import Allocation, FairDivisionError, Instance
 
 ENUMERATION_GUARD = 10**8
 # Most assignments in one block: the length of every per-block array.
@@ -130,7 +130,7 @@ def _ratio_keys(nums: np.ndarray, dens: np.ndarray, bits: int) -> np.ndarray:
     return (high << bits) + (rest << bits) // dens
 
 
-def best_alpha_bruteforce(instance: Instance) -> tuple[Value, Allocation]:
+def best_alpha_bruteforce(instance: Instance) -> tuple[Fraction, Allocation]:
     """Maximum EFX factor over all complete allocations, with the first witness."""
     _guard(instance)
     n, m = instance.n, instance.m

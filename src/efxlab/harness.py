@@ -27,7 +27,6 @@ from .core import (
     DomainError,
     FairDivisionError,
     Instance,
-    Value,
     build_ranking,
     fairness_report,
     format_value,
@@ -64,7 +63,7 @@ class AlgorithmSpec:
     as k. Runners look the algorithms up as module globals at call time.
     """
 
-    run: Callable[[QueryOracle, Optional[int], Optional[Value], str], tuple]
+    run: Callable[[QueryOracle, Optional[int], Optional[Fraction], str], tuple]
     bound_kind: str
     bivalued: bool = False
     query_family: bool = False
@@ -89,7 +88,7 @@ def _run_virtual_efx(oracle: QueryOracle, k: Optional[int], _lam, blackbox: str)
     return allocation, bound, params, {"measured_rho": measured_rho}
 
 
-def _run_prr(oracle: QueryOracle, k: Optional[int], lam: Optional[Value], _blackbox) -> tuple:
+def _run_prr(oracle: QueryOracle, k: Optional[int], lam: Optional[Fraction], _blackbox) -> tuple:
     n, m = oracle.n, oracle.m
     k = k if k is not None else 2
     lam = lam if lam is not None else default_lambda(n, m, k)
@@ -136,9 +135,9 @@ class RunRecord:
     algorithm: str
     params: dict
     query_counts: list[int]
-    alpha_efx: Value
-    alpha_ef1: Value
-    bound: Value
+    alpha_efx: Fraction
+    alpha_ef1: Fraction
+    bound: Fraction
     bound_kind: str
     bound_satisfied: bool
     wall_time: float
@@ -206,7 +205,7 @@ def generate_instance(
     raise DomainError(f"unknown generation kind {kind!r}")
 
 
-def default_lambda(n: int, m: int, k: int) -> Value:
+def default_lambda(n: int, m: int, k: int) -> Fraction:
     """Smallest convenient rational >= max(1, n / m**(1/(2k-1)))."""
     if m >= n ** (2 * k - 1):
         return Fraction(1)
@@ -220,7 +219,7 @@ def execute(
     algorithm: str,
     *,
     k: Optional[int] = None,
-    lam: Optional[Value] = None,
+    lam: Optional[Fraction] = None,
     blackbox: str = "envy_cycle",
     budget: Optional[int] = None,
     instance_id: str = "",
@@ -381,7 +380,7 @@ def adversary_ordinal(n: int, m: int, algorithm: str) -> dict:
     }
 
 
-def query_family_cap(family: QueryLBFamily) -> Value:
+def query_family_cap(family: QueryLBFamily) -> Fraction:
     """Upper endpoint of 2 * sqrt(k) * m**(-1/(2k-1))."""
     root_hi = pow_enclosure(family.m, -1, 2 * family.k - 1)[1]
     return 2 * family.top_value_hi * root_hi

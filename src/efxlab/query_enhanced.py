@@ -16,16 +16,12 @@ from .core import (
     FairDivisionError,
     Instance,
     InvalidAllocation,
-    Value,
     fairness_report,
     trivial_few_goods_allocation,
 )
 from .elicitation import QueryOracle
 from .enclosures import integer_nth_root, pow_enclosure, sqrt_enclosure
 from .ordinal import round_robin
-
-FullInfoAllocator = Callable[[Instance], Allocation]
-
 
 class BlackboxInvalid(FairDivisionError):
     """The full-information allocator returned a malformed allocation."""
@@ -45,14 +41,13 @@ class AgentVirtualValuation:
     final bound get virtual value 0.
     """
 
-    agent: int
-    top_values: tuple[Value, ...]
-    thresholds: tuple[Value, ...]
+    top_values: tuple[Fraction, ...]
+    thresholds: tuple[Fraction, ...]
     bucket_bounds: tuple[int, ...]
 
 
 @functools.lru_cache(maxsize=256)
-def bucket_thresholds(m: int, k: int) -> tuple[Value, ...]:
+def bucket_thresholds(m: int, k: int) -> tuple[Fraction, ...]:
     """Lower rational enclosures of m**(-level/(k+1)) for level 1..k.
 
     Using the lower endpoint both for the search predicate and for the
@@ -63,7 +58,7 @@ def bucket_thresholds(m: int, k: int) -> tuple[Value, ...]:
 
 
 def _last_position_at_least(
-    oracle: QueryOracle, agent: int, threshold: Value, lo: int, hi: int
+    oracle: QueryOracle, agent: int, threshold: Fraction, lo: int, hi: int
 ) -> int:
     """Largest ranking position in [lo, hi] whose value >= threshold, or lo-1.
 
@@ -106,7 +101,7 @@ def bucketize(oracle: QueryOracle, agent: int, k: int) -> AgentVirtualValuation:
         cut = max(cut, prev)
         bounds.append(cut)
         prev = cut
-    return AgentVirtualValuation(agent, top_values, thresholds, tuple(bounds))
+    return AgentVirtualValuation(top_values, thresholds, tuple(bounds))
 
 
 def virtual_instance(
@@ -145,8 +140,8 @@ def virtual_instance(
 
 
 def virtual_efx(
-    oracle: QueryOracle, k: int, blackbox: FullInfoAllocator
-) -> tuple[Allocation, list[AgentVirtualValuation], Value]:
+    oracle: QueryOracle, k: int, blackbox: Callable[[Instance], Allocation]
+) -> tuple[Allocation, list[AgentVirtualValuation], Fraction]:
     """Build virtual valuations, delegate to a full-information allocator.
 
     Returns the allocation, the per-agent virtual valuations, and the EFX
@@ -170,7 +165,7 @@ def virtual_efx(
     return allocation, virtuals, measured_rho
 
 
-def virtual_efx_bound(m: int, k: int, measured_rho: Value) -> Value:
+def virtual_efx_bound(m: int, k: int, measured_rho: Fraction) -> Fraction:
     """Guaranteed EFX floor rho' / (2 m**(1/(k+1))), rounded down to stay fair."""
     if k < 1 or m < 1:
         raise ParamDomainError(f"need k >= 1 and m >= 1, got k={k}, m={m}")
@@ -184,7 +179,7 @@ class PRRParams:
 
     k: int
     alpha: tuple[int, ...]
-    beta: tuple[Value, ...]
+    beta: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -197,44 +192,47 @@ class PRRParams:
             raise ParamDomainError("thresholds must be positive")
 
 
-def theorem5_params(n: int, m: int, k: int, lam: Value) -> PRRParams:
-    """Parameterization achieving the query/EFX tradeoff guarantee.
-
-    Sizes are exactly ceil(lam * m**((2l-1)/(2k-1))); thresholds are upper
-    rational enclosures of sqrt(k) * m**(2l/(2k-1)). Requires
-    lam >= max(1, n / m**(1/(2k-1))), checked exactly via
-    lam**(2k-1) * m >= n**(2k-1).
-    """
-    if k < 1:
-        raise ParamDomainError("k must be >= 1")
+def _theorem5_lam(n: int, m: int, k: int, lam: Fraction) -> Fraction:
+    """``lam`` as a ``Fraction`` once theorem 5's domain is checked exactly:
+    k, m, n >= 1 and lam >= max(1, n / m**(1/(2k-1))), that is lam >= 1 and
+    lam**(2k-1) * m >= n**(2k-1)."""
+    if min(k, m, n) < 1:
+        raise ParamDomainError(f"need k >= 1 and m >= 1 and n >= 1, got k={k}, m={m}, n={n}")
     lam = Fraction(lam)
     q = 2 * k - 1
     if lam < 1 or lam**q * m < n**q:
-        raise ParamDomainError(
-            "lam must be at least max(1, n / m**(1/(2k-1)))"
-        )
-    sqrt_k_hi = sqrt_enclosure(k)[1]
+        raise ParamDomainError("lam must be at least max(1, n / m**(1/(2k-1)))")
+    return lam
+
+
+def theorem5_params(n: int, m: int, k: int, lam: Fraction) -> PRRParams:
+    """Parameterization achieving the query/EFX tradeoff guarantee.
+
+    Sizes are exactly ceil(lam * m**((2l-1)/(2k-1))); thresholds are upper
+    rational enclosures of sqrt(k) * m**(2l/(2k-1)). The sizes are rejected
+    as soon as their running sum reaches m, before any threshold is built.
+    """
+    lam = _theorem5_lam(n, m, k, lam)
+    q = 2 * k - 1
     lam_num, lam_den = lam.numerator**q, lam.denominator**q
-    alphas = []
-    betas = []
+    alphas: list[int] = []
     for level in range(1, k):
         # The least a with a**q >= lam**q * m**(2l-1), which is also the least
         # a with a**q >= the ceiling of that rational.
         ceiling = -(-lam_num * m ** (2 * level - 1) // lam_den)
         alphas.append(integer_nth_root(ceiling - 1, q) + 1)
-        betas.append(sqrt_k_hi * pow_enclosure(m, 2 * level, q)[1])
-    if sum(alphas) >= m:
-        raise ParamDomainError("segment sizes must leave goods for the final segment")
-    return PRRParams(k=k, alpha=tuple(alphas), beta=tuple(betas))
+        if sum(alphas) >= m:
+            raise ParamDomainError("segment sizes must leave goods for the final segment")
+    sqrt_k_hi = sqrt_enclosure(k)[1]
+    betas = tuple(sqrt_k_hi * pow_enclosure(m, 2 * level, q)[1] for level in range(1, k))
+    return PRRParams(k=k, alpha=tuple(alphas), beta=betas)
 
 
-def theorem5_bound(n: int, m: int, k: int, lam: Value) -> Value:
+def theorem5_bound(n: int, m: int, k: int, lam: Fraction) -> Fraction:
     """Lower endpoint of the guaranteed EFX floor for theorem5 parameters."""
-    if k < 1 or m < 1:
-        raise ParamDomainError(f"need k >= 1 and m >= 1, got k={k}, m={m}")
+    lam = _theorem5_lam(n, m, k, lam)
     sqrt_k_hi = sqrt_enclosure(k)[1]
     root_hi = pow_enclosure(m, 1, 2 * k - 1)[1]
-    lam = Fraction(lam)
     first = 1 / ((sqrt_k_hi + 1) * lam * root_hi)
     second = 1 / (1 + sqrt_k_hi * Fraction(n) / lam * root_hi)
     return min(first, second)

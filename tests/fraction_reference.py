@@ -1,5 +1,6 @@
-"""Reference copies of replaced implementations: the pure-``Fraction``
-ranking, fairness report, match-freeze rounds and envy-cycle heuristic, the
+"""Reference copies of replaced implementations: the ``Fraction`` rows of an
+instance (its former ``values`` view), the pure-``Fraction`` ranking,
+fairness report, match-freeze rounds and envy-cycle heuristic, the
 integer envy cycle with its row-major worth table, the
 exhaustive oracles' per-call row scaling and their chunked enumeration, the
 ``Fraction``-row builds of the ``virtual_efx`` proxy and mfrr's uncovered
@@ -36,6 +37,15 @@ from efxlab import adversarial, bivalued, core, elicitation, harness, ordinal, q
 from efxlab.enclosures import integer_nth_root as library_integer_nth_root
 
 
+def fraction_rows(instance: Instance) -> tuple[tuple[Fraction, ...], ...]:
+    """The instance's values as ``Fraction`` rows: agent i values good g at
+    ``scaled_values[i, g] / scales[i]``."""
+    return tuple(
+        tuple(Fraction(x, scale) for x in row)
+        for row, scale in zip(instance.scaled_values.tolist(), instance.scales)
+    )
+
+
 def instance_from_json(data: dict) -> Instance:
     """``Instance.from_json`` parsing every value into a ``Fraction``; ``n``
     and ``m`` must be JSON integers (not booleans) and the rows' shape, and
@@ -65,7 +75,7 @@ def instance_to_json(instance: Instance) -> dict:
     out: dict = {
         "n": instance.n,
         "m": instance.m,
-        "values": [[format_value(v) for v in row] for row in instance.values],
+        "values": [[format_value(v) for v in row] for row in fraction_rows(instance)],
     }
     if instance.bivalued_meta is not None:
         out["bivalued"] = [
@@ -116,8 +126,8 @@ def query_lb_revealed(n: int, k: int, t: int, sqrt_lo: Fraction) -> Instance:
 
 def build_ranking(instance: Instance) -> PreferenceProfile:
     rankings = tuple(
-        tuple(sorted(range(instance.m), key=lambda g: (-instance.values[i][g], g)))
-        for i in range(instance.n)
+        tuple(sorted(range(instance.m), key=lambda g: (-row[g], g)))
+        for row in fraction_rows(instance)
     )
     return PreferenceProfile(rankings)
 
@@ -133,12 +143,10 @@ def fairness_report(instance: Instance, allocation: Allocation) -> FairnessRepor
     one = Fraction(1)
     alpha_efx = one
     alpha_ef1 = one
-    raw_efx: Optional[Fraction] = None
     efx_binding = None
     ef1_binding = None
 
-    for i in range(n):
-        row = instance.values[i]
+    for i, row in enumerate(fraction_rows(instance)):
         sums = [Fraction(0)] * n
         min_good = [-1] * n
         max_good = [-1] * n
@@ -158,10 +166,7 @@ def fairness_report(instance: Instance, allocation: Allocation) -> FairnessRepor
                 continue
             efx_den = sums[j] - row[min_good[j]]
             if efx_den > 0:
-                ratio = own / efx_den
-                if raw_efx is None or ratio < raw_efx:
-                    raw_efx = ratio
-                capped = min(one, ratio)
+                capped = min(one, own / efx_den)
                 if capped < alpha_efx:
                     alpha_efx = capped
                     efx_binding = (i, j, min_good[j])
@@ -172,7 +177,7 @@ def fairness_report(instance: Instance, allocation: Allocation) -> FairnessRepor
                     alpha_ef1 = capped
                     ef1_binding = (i, j, max_good[j])
 
-    return FairnessReport(alpha_efx, alpha_ef1, efx_binding, ef1_binding, raw_efx)
+    return FairnessReport(alpha_efx, alpha_ef1, efx_binding, ef1_binding)
 
 
 def prioritized_max_matching(
@@ -213,6 +218,7 @@ def match_freeze_round(instance: Instance, participants: Sequence[int], state) -
     """One round, with the priority and the high edges rebuilt from the
     instance and the sorted pool."""
     meta = instance.bivalued_meta
+    values = fraction_rows(instance)
     unfrozen = []
     for i in participants:
         if state.freeze_counters[i] > 0:
@@ -221,7 +227,7 @@ def match_freeze_round(instance: Instance, participants: Sequence[int], state) -
             unfrozen.append(i)
     priority = sorted(unfrozen, key=lambda i: (-(meta[i][0] / meta[i][1]), i))
     high_edges = {
-        i: [g for g in sorted(state.pool) if instance.values[i][g] == meta[i][0]]
+        i: [g for g in sorted(state.pool) if values[i][g] == meta[i][0]]
         for i in unfrozen
     }
     matching = prioritized_max_matching(priority, high_edges, state.pool)
@@ -240,7 +246,7 @@ def match_freeze_round(instance: Instance, participants: Sequence[int], state) -
         state.pool.discard(g)
         h_i, l_i = meta[i]
         for j, gj in matched_this_round:
-            if instance.values[i][gj] == h_i:
+            if values[i][gj] == h_i:
                 duration = math.ceil(h_i / l_i) - 1
                 if state.freeze_counters[j] == 0 and duration > 0:
                     state.frozen_events.append(j)
@@ -255,9 +261,8 @@ def envy_cycle_heuristic(instance: Instance) -> Allocation:
     global rotations
     rotations = 0
     n, m = instance.n, instance.m
-    order = sorted(
-        range(m), key=lambda g: (min(-instance.values[i][g] for i in range(n)), g)
-    )
+    values = fraction_rows(instance)
+    order = sorted(range(m), key=lambda g: (min(-values[i][g] for i in range(n)), g))
     bundles: list[set[int]] = [set() for _ in range(n)]
     worth = [[Fraction(0)] * n for _ in range(n)]
 
@@ -295,7 +300,7 @@ def envy_cycle_heuristic(instance: Instance) -> Allocation:
             target = unenvied_agent()
         bundles[target].add(g)
         for i in range(n):
-            worth[i][target] += instance.values[i][g]
+            worth[i][target] += values[i][g]
 
     return Allocation(tuple(frozenset(b) for b in bundles), complete=True)
 
@@ -380,11 +385,11 @@ def envy_cycle_integer(instance: Instance) -> Allocation:
 def scaled_rows(instance: Instance) -> np.ndarray:
     """The exhaustive oracles' former per-call integer scaling."""
     rows = []
-    for i in range(instance.n):
+    for row in fraction_rows(instance):
         denlcm = 1
-        for v in instance.values[i]:
+        for v in row:
             denlcm = denlcm * v.denominator // math.gcd(denlcm, v.denominator)
-        rows.append([int(v * denlcm) for v in instance.values[i]])
+        rows.append([int(v * denlcm) for v in row])
     top = max((max(r) for r in rows), default=0)
     if top and (top * instance.m) ** 2 >= 2**62:
         return np.array(rows, dtype=object)
@@ -800,7 +805,7 @@ def execute(
 
 def pair_cap(instance: Instance, allocation: Allocation, i: int, j: int) -> Fraction:
     """Capped EFX contribution of the ordered pair (i, j); 1 if unconstrained."""
-    row = instance.values[i]
+    row = fraction_rows(instance)[i]
     own = sum((row[g] for g in allocation.bundles[i]), Fraction(0))
     bundle = allocation.bundles[j]
     if not bundle:
@@ -824,7 +829,7 @@ def _good_block(family, good: int) -> tuple[str, int]:
 
 
 def _with_row(base: Instance, agent: int, row: tuple[Fraction, ...]) -> Instance:
-    rows = list(base.values)
+    rows = list(fraction_rows(base))
     rows[agent] = row
     return Instance.from_rows(rows)
 
@@ -834,12 +839,13 @@ def query_adversary_complete(family, transcript, allocation: Allocation):
     core.validate(revealed, allocation)
     if not allocation.complete:
         raise DomainError("adversary requires a complete allocation")
+    revealed_rows = fraction_rows(revealed)
     queried: dict[int, set[int]] = {i: set() for i in range(family.n)}
     for agent, good, value in transcript.entries:
-        if revealed.values[agent][good] != value:
+        if revealed_rows[agent][good] != value:
             raise adversarial.InconsistentTranscript(
                 f"transcript says v_{agent}(g{good}) = {value}, family reveals "
-                f"{revealed.values[agent][good]}"
+                f"{revealed_rows[agent][good]}"
             )
         queried[agent].add(good)
 
@@ -855,7 +861,7 @@ def query_adversary_complete(family, transcript, allocation: Allocation):
 
     last_top = n - 2
     holder = owner[last_top]
-    ranking_row = list(revealed.values[holder])
+    ranking_row = list(revealed_rows[holder])
 
     if last_top not in queried[holder]:
         next_value = family.segment_value(1) if family.k >= 2 else Fraction(0)

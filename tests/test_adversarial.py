@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from fraction_reference import fraction_rows
 from efxlab import (
     Allocation,
     DomainError,
@@ -27,8 +28,8 @@ from efxlab.harness import query_family_cap
 
 def test_ordinal_family_values():
     fam = ordinal_lb_build(2, 6)
-    assert fam.case1.values[0] == (1, 0, 0, 0, 0, 0)
-    assert fam.case2.values[0] == (1, 1, 1, 1, 1, 1)
+    assert fraction_rows(fam.case1)[0] == (1, 0, 0, 0, 0, 0)
+    assert fraction_rows(fam.case2)[0] == (1, 1, 1, 1, 1, 1)
     assert build_ranking(fam.case1) == build_ranking(fam.case2)
 
 
@@ -85,7 +86,7 @@ def test_query_family_structure():
     assert fam.block_size == 5
     lo, hi = fam.top_value, fam.top_value_hi
     assert lo**2 <= 2 <= hi**2
-    row = fam.revealed.values[0]
+    row = fraction_rows(fam.revealed)[0]
     assert row[1] == row[2] == Fraction(1, 4)
     assert all(v == 0 for v in row[3:])
     # Revealed values are nonincreasing along the shared ranking.
@@ -119,9 +120,9 @@ def test_adversary_case2_unqueried_own_good_dropped():
     # Singleton for the top good's holder; she never queried it.
     a = Allocation.from_bundles([[0], [1, 2, 3, 4, 5, 6, 7]])
     picked, bound = query_adversary_complete(fam, Transcript(()), a)
-    holder_row = picked.values[0]
+    holder_row, other_row = fraction_rows(picked)
     assert holder_row[0] == Fraction(1, 4)  # dropped to the next tier
-    assert picked.values[1] == fam.revealed.values[1]  # only her row changed
+    assert other_row == fraction_rows(fam.revealed)[1]  # only her row changed
     assert fairness_report(picked, a).alpha_efx <= bound
 
 
@@ -131,7 +132,7 @@ def test_adversary_case2_unqueried_tier_raised():
     # The holder queried her own good, so an untouched tier gets raised.
     transcript = Transcript(((0, 0, fam.top_value),))
     picked, bound = query_adversary_complete(fam, transcript, a)
-    row = picked.values[0]
+    row = fraction_rows(picked)[0]
     assert row[0] == fam.top_value
     # Lowest entirely-unqueried tier is S_1: raised to the top value.
     assert row[1] == row[2] == fam.top_value
@@ -157,16 +158,15 @@ def test_adversary_rejects_transcript_outside_the_family(agent, good):
 
 def _ranking_consistent(instance, reference):
     profile = build_ranking(reference)
-    for i in range(instance.n):
-        r = profile.rankings[i]
-        row = instance.values[i]
+    for r, row in zip(profile.rankings, fraction_rows(instance)):
         if any(row[a] < row[b] for a, b in zip(r, r[1:])):
             return False
     return True
 
 
 def _transcript_respected(instance, transcript):
-    return all(instance.values[a][g] == v for a, g, v in transcript.entries)
+    rows = fraction_rows(instance)
+    return all(rows[a][g] == v for a, g, v in transcript.entries)
 
 
 @pytest.mark.parametrize("n,k,t", [(2, 2, 2), (3, 2, 2), (2, 2, 3), (2, 3, 2)])

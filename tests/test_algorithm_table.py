@@ -127,11 +127,12 @@ def test_query_adversary_matches_fraction_completion(n, k, t, seed, spread, quer
         owners[g] = rng.randrange(n)
     bundles = [[g for g in range(m) if owners[g] == j] for j in range(n)]
     allocation = Allocation.from_bundles(bundles)
+    revealed = ref.fraction_rows(family.revealed)
     entries = []
     for _ in range(queries):
         # Half the queries ask for a top good, so every case is reached.
         agent, good = rng.randrange(n), rng.randrange(n - 1 if rng.random() < 0.5 else m)
-        entries.append((agent, good, family.revealed.values[agent][good]))
+        entries.append((agent, good, revealed[agent][good]))
     if lie and entries:
         agent, good, value = entries[-1]
         entries[-1] = (agent, good, value + Fraction(1, 7))
@@ -156,14 +157,15 @@ def test_query_adversary_raises_each_tier(queried, raised):
     """k = 3, t = 2: goods 1-2 form segment 1, 3-10 segment 2, 11-31 the block."""
     family = query_lb_build(2, 3, 2)
     allocation = Allocation.from_bundles([[0], range(1, 32)])
-    transcript = Transcript(tuple((0, g, family.revealed.values[0][g]) for g in queried))
+    row = ref.fraction_rows(family.revealed)[0]
+    transcript = Transcript(tuple((0, g, row[g]) for g in queried))
     new = outcome(lambda: query_adversary_complete(family, transcript, allocation))
     assert new == outcome(lambda: ref.query_adversary_complete(family, transcript, allocation))
     if raised is None:
         assert new[0] is DomainError
     else:
         expected = {g: family.top_value if v == "top" else v for g, v in raised.items()}
-        assert {g: new[0].values[0][g] for g in raised} == expected
+        assert {g: ref.fraction_rows(new[0])[0][g] for g in raised} == expected
 
 
 def test_query_adversary_checks_raised_values_fit_the_scale():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fraction_reference import fraction_rows
 from efxlab import (
     DomainError,
     Instance,
@@ -105,9 +106,8 @@ def test_freeze_at_most_once_per_run():
         m = rng.randint(2, 25)
         inst = random_bivalued(rng, n, m)
         meta = dict(enumerate(inst.bivalued_meta))
-        high_goods = {
-            i: [g for g, v in enumerate(inst.values[i]) if v == h] for i, (h, _) in meta.items()
-        }
+        rows = fraction_rows(inst)
+        high_goods = {i: [g for g, v in enumerate(rows[i]) if v == h] for i, (h, _) in meta.items()}
         state = MatchFreezeState.start(n, m, meta, high_goods)
         while state.pool:
             match_freeze_round(state)

@@ -107,7 +107,7 @@ def test_dedup_idempotence_any_order(pairs):
 
 
 # Every attribute through which an instance gives away its values.
-HIDDEN_VALUE_ATTRIBUTES = ("values", "scaled_values", "scales")
+HIDDEN_VALUE_ATTRIBUTES = ("scaled_values", "scales")
 
 
 class _WatchedInstance:

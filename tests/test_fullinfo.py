@@ -133,7 +133,7 @@ def test_zero_good_duplication_monotone():
     for _ in range(10):
         instance = random_instance(rng, 2, 4)
         base, _ = best_alpha_bruteforce(instance)
-        extended = inst([list(r) + [Fraction(0)] for r in instance.values])
+        extended = inst([list(r) + [Fraction(0)] for r in ref.fraction_rows(instance)])
         bigger, _ = best_alpha_bruteforce(extended)
         assert bigger >= base
 

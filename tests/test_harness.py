@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from fraction_reference import fraction_rows
 from efxlab import Instance, cli
 from efxlab.cli import EXIT_GUARANTEE, EXIT_OK, EXIT_VALIDATION, main
 from efxlab.harness import (
@@ -22,6 +23,7 @@ from efxlab.harness import (
     generate_instance,
     sweep,
 )
+from test_enclosures import time_limit
 
 
 def test_gen_deterministic():
@@ -34,7 +36,7 @@ def test_gen_deterministic():
 def test_gen_bivalued_has_meta():
     inst = generate_instance("bivalued", 3, 8, seed=1)
     assert inst.bivalued_meta is not None
-    for (h, low), row in zip(inst.bivalued_meta, inst.values):
+    for (h, low), row in zip(inst.bivalued_meta, fraction_rows(inst)):
         assert h > low > 0
         assert all(v in (h, low) for v in row)
 
@@ -47,7 +49,7 @@ def test_gen_query_lb_matches_family():
 def test_gen_ordinal_lb_cases():
     case1 = generate_instance("ordinal_lb", 2, 6, case=1)
     case2 = generate_instance("ordinal_lb", 2, 6, case=2)
-    assert case1.values[0][1] == 0 and case2.values[0][1] == 1
+    assert fraction_rows(case1)[0][1] == 0 and fraction_rows(case2)[0][1] == 1
 
 
 def test_execute_bound_flag_recomputable():
@@ -303,6 +305,15 @@ def test_cli_run_rejects_bad_lambda(tmp_path, capsys):
     for lam in ("abc", "1/0"):
         assert main(["run", "--instance", path, "--alg", "prr", "--lambda", lam]) == EXIT_VALIDATION
         assert "not a rational value" in capsys.readouterr().err
+
+
+def test_cli_run_prr_with_oversized_segments_exits_2_quickly(tmp_path, capsys):
+    path = str(tmp_path / "inst.json")
+    main(["gen", "--n", "10", "--m", "1000", "--seed", "1", "--out", path])
+    capsys.readouterr()
+    with time_limit(5):
+        assert main(["run", "--instance", path, "--alg", "prr", "--k", "500"]) == EXIT_VALIDATION
+    assert "segment sizes must leave goods for the final segment" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from fraction_reference import fraction_rows
 from efxlab import (
     DomainError,
     Instance,
@@ -101,7 +102,8 @@ def test_rrla_pick_before_property():
         m = rng.randint(n, 12)
         inst = random_instance(rng, n, m)
         a = rrla(QueryOracle(inst))
+        rows = fraction_rows(inst)
         for i in range(n - 1):
             (g,) = a.bundles[i]
             for other in a.bundles[n - 1]:
-                assert inst.values[i][g] >= inst.values[i][other]
+                assert rows[i][g] >= rows[i][other]

@@ -79,8 +79,9 @@ def test_virtual_dominance_and_bucket_membership():
         row = ref.virtual_row(vv, ranking, m)
         anchor = vv.top_values[-1]
         thresholds = vv.thresholds
+        true_row = ref.fraction_rows(inst)[0]
         for pos, g in enumerate(ranking):
-            true = inst.values[0][g]
+            true = true_row[g]
             assert row[g] <= true  # virtual never exceeds true
             if pos >= n - 1:
                 # Bucket membership: value clears its level's threshold and
@@ -167,10 +168,10 @@ def test_virtual_instance_materialization():
     virtuals = [bucketize(o, i, 1) for i in range(2)]
     proxy = virtual_instance(o, virtuals)
     assert proxy.n == 2 and proxy.m == 4
-    hidden = o.hidden_instance()
+    virtual, hidden = ref.fraction_rows(proxy), ref.fraction_rows(o.hidden_instance())
     for i in range(2):
         for g in range(4):
-            assert proxy.values[i][g] <= hidden.values[i][g]
+            assert virtual[i][g] <= hidden[i][g]
 
 
 # ---- theorem5 parameterization ---------------------------------------
@@ -192,6 +193,19 @@ def test_theorem5_lambda_floor_enforced():
     with pytest.raises(ParamDomainError):
         theorem5_params(3, 8, 2, Fraction(1))  # needs lam >= 3/2
     theorem5_params(3, 8, 2, Fraction(3, 2))  # boundary admissible
+
+
+@pytest.mark.parametrize("lam", [0, -1, Fraction(1, 2)], ids=["zero", "negative", "half"])
+def test_theorem5_bound_rejects_lambda_below_one(lam):
+    with time_limit(5), pytest.raises(ParamDomainError, match="lam must be at least"):
+        theorem5_bound(2, 10, 2, lam)
+
+
+def test_theorem5_rejects_oversized_segments_before_the_thresholds():
+    # At k = 500 the sizes pass m = 1000 within the first levels.
+    n, m, k = 10, 1000, 500
+    with time_limit(5), pytest.raises(ParamDomainError, match="final segment"):
+        theorem5_params(n, m, k, default_lambda(n, m, k))
 
 
 @settings(max_examples=150, deadline=None)
@@ -224,9 +238,10 @@ def test_theorem5_segment_sizes_equal_the_refine_loop(n, m, k, base, perfect, nu
     "bound,args",
     [(theorem5_bound, (2, 10, 0, 1)), (theorem5_bound, (2, 10, -1, 1)),
      (theorem5_bound, (2, 0, 2, 1)), (virtual_efx_bound, (10, 0, 1)),
-     (virtual_efx_bound, (10, -1, 1)), (virtual_efx_bound, (0, 2, 1))],
+     (virtual_efx_bound, (10, -1, 1)), (virtual_efx_bound, (0, 2, 1)),
+     (theorem5_params, (0, 0, 2, 1))],
     ids=["theorem5-k0", "theorem5-k-1", "theorem5-m0", "virtual-k0", "virtual-k-1",
-         "virtual-m0"],
+         "virtual-m0", "theorem5-params-n0-m0"],
 )
 def test_bounds_reject_k_or_m_below_one(bound, args):
     with time_limit(5), pytest.raises(ParamDomainError, match="need k >= 1 and m >= 1"):
