@@ -12,14 +12,13 @@ from .core import (
     Instance,
     InvalidAllocation,
     OverlapError,
-    PreferenceProfile,
     build_ranking,
     fairness_report,
     format_value,
     parse_value,
     validate,
 )
-from .elicitation import BudgetExceeded, QueryOracle, Transcript
+from .elicitation import BudgetExceeded, QueryOracle
 from .ordinal import round_robin, rrla
 from .query_enhanced import (
     AgentVirtualValuation,
@@ -57,9 +56,9 @@ from .adversarial import (
 
 __all__ = [
     "Allocation", "CompletenessError", "DomainError", "FairDivisionError", "FairnessReport",
-    "Instance", "InvalidAllocation", "OverlapError", "PreferenceProfile", "build_ranking",
-    "fairness_report", "format_value", "parse_value", "validate",
-    "BudgetExceeded", "QueryOracle", "Transcript", "round_robin", "rrla",
+    "Instance", "InvalidAllocation", "OverlapError", "build_ranking", "fairness_report",
+    "format_value", "parse_value", "validate", "BudgetExceeded", "QueryOracle",
+    "round_robin", "rrla",
     "AgentVirtualValuation", "BlackboxInvalid", "ParamDomainError", "PRRParams", "prr",
     "theorem5_bound", "theorem5_params", "virtual_efx", "virtual_efx_bound",
     "TooLarge", "best_alpha_bruteforce", "envy_cycle_heuristic", "exact_efx_bruteforce",

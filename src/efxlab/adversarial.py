@@ -14,15 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
-    Allocation,
-    DomainError,
-    FairDivisionError,
-    Instance,
-    pair_factor,
-    validate,
+    Allocation, DomainError, FairDivisionError, Instance, _scale_row, pair_factor, validate
 )
-from .elicitation import Transcript
+from .elicitation import first_disagreement
 from .enclosures import sqrt_enclosure
+
+# The most values (n * m) a lower-bound family is built with; a bigger family
+# would not fit in memory.
+MAX_FAMILY_VALUES = 10**7
 
 
 class InconsistentTranscript(FairDivisionError):
@@ -45,6 +44,8 @@ def ordinal_lb_build(n: int, m: int) -> OrdinalLBFamily:
         raise DomainError("need n >= 2")
     if m <= n + 2:
         raise DomainError("family requires m > n + 2")
+    if n * m > MAX_FAMILY_VALUES:
+        raise DomainError(f"family of {n} x {m} values exceeds {MAX_FAMILY_VALUES}")
     case1_row = [1] * (n - 1) + [0] * (m - n + 1)
     case1 = Instance.from_scaled([case1_row] * n, (1,) * n)
     case2 = Instance.from_scaled([[1] * m] * n, (1,) * n)
@@ -85,10 +86,6 @@ class QueryLBFamily:
     top_value_hi: Fraction  # matching upper enclosure
     revealed: Instance  # every agent at the revealed values
 
-    def segment_value(self, level: int) -> Fraction:
-        """Revealed value of goods in middle segment ``level`` (1-based)."""
-        return Fraction(1, self.t ** (2 * level))
-
 
 def query_lb_build(n: int, k: int, t: int) -> QueryLBFamily:
     """Build the family for m = t**(2k-1) goods.
@@ -98,6 +95,9 @@ def query_lb_build(n: int, k: int, t: int) -> QueryLBFamily:
     """
     if n < 2 or k < 1 or t < 2:
         raise DomainError("need n >= 2, k >= 1, t >= 2")
+    # m >= 2**(2k-1), so the first test spares computing a huge m.
+    if 2 * k - 1 > MAX_FAMILY_VALUES.bit_length() or n * t ** (2 * k - 1) > MAX_FAMILY_VALUES:
+        raise DomainError(f"family of {n} x {t}**{2 * k - 1} values exceeds {MAX_FAMILY_VALUES}")
     m = t ** (2 * k - 1)
     if m <= n + 2:
         raise DomainError("family requires m > n + 2")
@@ -126,16 +126,8 @@ def query_lb_build(n: int, k: int, t: int) -> QueryLBFamily:
     )
 
 
-def _on_scale(value: Fraction, scale: int) -> int:
-    """``value * scale`` as an int; the value's denominator must divide the scale."""
-    scaled, rest = divmod(value.numerator * scale, value.denominator)
-    if rest:
-        raise DomainError(f"value {value} is not on the revealed scale {scale}")
-    return scaled
-
-
 def query_adversary_complete(
-    family: QueryLBFamily, transcript: Transcript, allocation: Allocation
+    family: QueryLBFamily, transcript: tuple, allocation: Allocation
 ) -> tuple[Instance, Fraction]:
     """Pick a consistent completion minimizing the achieved EFX factor.
 
@@ -145,28 +137,28 @@ def query_adversary_complete(
     holding the last top good is bent on whatever she left unqueried (her
     own good dropped a tier, or an untouched segment raised a tier).
 
+    ``transcript`` holds the answered queries as (agent, good, value).
     Returns the completion and the exact capped envy factor of the pair the
     construction targets (an upper bound on the allocation's EFX factor).
-    All values are compared and edited on the revealed integer scale.
+    The completion only copies values within the holder's revealed integer
+    row, so it keeps the ranking and every answer.
     """
     revealed = family.revealed
     validate(revealed, allocation)
     if not allocation.complete:
         raise DomainError("adversary requires a complete allocation")
-    queried: dict[int, set[int]] = {i: set() for i in range(family.n)}
-    for agent, good, value in transcript.entries:
+    wrong = first_disagreement(revealed, transcript)
+    if wrong is not None:
+        agent, good, value = wrong
         if not (0 <= agent < family.n and 0 <= good < family.m):
             raise DomainError(
                 f"transcript asks v_{agent}(g{good}), outside the family's "
                 f"{family.n} agents and {family.m} goods"
             )
-        x, scale = int(revealed.scaled_values[agent, good]), revealed.scales[agent]
-        if value.numerator * scale != x * value.denominator:
-            raise InconsistentTranscript(
-                f"transcript says v_{agent}(g{good}) = {value}, family reveals "
-                f"{Fraction(x, scale)}"
-            )
-        queried[agent].add(good)
+        raise InconsistentTranscript(
+            f"transcript says v_{agent}(g{good}) = {value}, family reveals "
+            f"{Fraction(int(revealed.scaled_values[agent, good]), revealed.scales[agent])}"
+        )
 
     n = family.n
     top = set(range(n - 1))
@@ -181,33 +173,27 @@ def query_adversary_complete(
     # All top goods are singleton bundles; the remaining agent holds the rest.
     last_top = n - 2
     holder = owner[last_top]
-    scale = revealed.scales[holder]
+    queried = {g for agent, g, _ in transcript if agent == holder}
     row = revealed.scaled_values[holder].tolist()
 
-    if last_top not in queried[holder]:
+    if last_top not in queried:
         # Drop the unqueried own good to the next tier's value.
-        next_value = family.segment_value(1) if family.k >= 2 else Fraction(0)
-        row[last_top] = _on_scale(next_value, scale)
+        row[last_top] = row[n - 1]
     else:
         # Otherwise raise the lowest entirely-unqueried tier (a middle
-        # segment, then the zero block) to its predecessor's value.
-        tiers, start = [], n - 1
+        # segment, then the zero block) to the value just above it.
+        start = n - 1
         for size in (*family.segment_sizes, family.block_size):
-            tiers.append(range(start, start + size))
-            start += size
-        raised = [family.top_value] + [family.segment_value(lv) for lv in range(1, family.k)]
-        for members, value in zip(tiers, raised):
-            if queried[holder].isdisjoint(members):
-                row[members.start : members.stop] = [_on_scale(value, scale)] * len(members)
+            if queried.isdisjoint(range(start, start + size)):
+                row[start : start + size] = [row[start - 1]] * size
                 break
+            start += size
         else:
             raise DomainError(
                 "no entirely-unqueried tier exists; transcript exceeds the family's budget"
             )
 
-    divisor = math.gcd(scale, *row)
-    rows = revealed.scaled_values.tolist()
-    rows[holder] = [x // divisor for x in row]
-    scales = revealed.scales[:holder] + (scale // divisor,) + revealed.scales[holder + 1 :]
+    rows, scales = revealed.scaled_values.tolist(), list(revealed.scales)
+    rows[holder], scales[holder] = _scale_row(row, [scales[holder]] * family.m)
     completed = Instance.from_scaled(rows, scales)
     return completed, pair_factor(completed, allocation, holder, unserved)

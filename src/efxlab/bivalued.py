@@ -239,7 +239,7 @@ def discover_transition(
     n = oracle.n
     if oracle.m < n:
         raise DomainError("discover_transition requires m >= n")
-    ranking = oracle.ordinal_view().rankings[agent]
+    ranking = oracle.rankings[agent]
     top_value = oracle.query(agent, ranking[0])
     observed = {top_value}
     # First 1-based rank r in [2, n] whose value is below the top, if any.
@@ -268,7 +268,7 @@ def mfrr(oracle: QueryOracle) -> Allocation:
     n, m = oracle.n, oracle.m
     if m < n:
         return trivial_few_goods_allocation(n, m)
-    rankings = oracle.ordinal_view().rankings
+    rankings = oracle.rankings
     meta: dict[int, tuple[Fraction, Fraction]] = {}
     high_goods: dict[int, list[int]] = {}
     flat: list[int] = []

@@ -302,20 +302,6 @@ class Instance:
 
 
 @dataclass(frozen=True)
-class PreferenceProfile:
-    """Per-agent permutation of good indices, best first."""
-
-    rankings: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        m = len(self.rankings[0]) if self.rankings else 0
-        goods = set(range(m))
-        for r in self.rankings:
-            if len(r) != m or set(r) != goods:
-                raise DomainError("each ranking must be a permutation of 0..m-1")
-
-
-@dataclass(frozen=True)
 class Allocation:
     """Disjoint bundles of good indices, one per agent."""
 
@@ -364,19 +350,18 @@ class FairnessReport:
     ef1_binding: Optional[tuple[int, int, int]] = None
 
 
-def build_ranking(instance: Instance) -> PreferenceProfile:
-    """Rank each agent's goods by value descending, ties by ascending index.
+def build_ranking(instance: Instance) -> tuple[tuple[int, ...], ...]:
+    """Each agent's goods by value descending, ties by ascending index: one
+    tuple of good indices per agent, best first.
 
-    The profile is built once per instance and then shared.
+    The rankings are built once per instance and then shared.
     """
-    profile = instance._ranking
-    if profile is None:
+    rankings = instance._ranking
+    if rankings is None:
         order = np.argsort(-instance.scaled_values, axis=1, kind="stable")
-        # Rows of an argsort are permutations, so the profile's check is skipped.
-        profile = object.__new__(PreferenceProfile)
-        object.__setattr__(profile, "rankings", tuple(map(tuple, order.tolist())))
-        object.__setattr__(instance, "_ranking", profile)
-    return profile
+        rankings = tuple(map(tuple, order.tolist()))
+        object.__setattr__(instance, "_ranking", rankings)
+    return rankings
 
 
 def validate(instance: Instance, allocation: Allocation) -> None:

@@ -8,50 +8,33 @@ no cost. An optional per-agent budget is enforced fail-fast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
-from .core import (
-    DomainError,
-    FairDivisionError,
-    Instance,
-    PreferenceProfile,
-    build_ranking,
-)
+from .core import DomainError, FairDivisionError, Instance, build_ranking
 
 
 class BudgetExceeded(FairDivisionError):
     """A fresh query would push an agent past her budget."""
 
 
-@dataclass(frozen=True)
-class Transcript:
-    """Ordered record of answered queries."""
-
-    entries: tuple[tuple[int, int, Fraction], ...]
-
-
 class QueryOracle:
-    """Mutable sequential resource owned by a single algorithm run."""
+    """Mutable sequential resource owned by a single algorithm run.
+
+    ``n``, ``m`` and ``rankings`` are the instance's, the rankings one tuple
+    of goods per agent, best first (see :func:`build_ranking`); reading them
+    costs nothing.
+    """
 
     def __init__(self, instance: Instance, budget: Optional[int] = None) -> None:
         if budget is not None and budget < 0:
             raise DomainError(f"budget must be >= 0, got {budget}")
         self._hidden = instance
-        self._profile = build_ranking(instance)
+        self.n, self.m, self.rankings = instance.n, instance.m, build_ranking(instance)
         self._budget = budget
         # In the order first asked, so the answers are also the transcript.
         self._answers: dict[tuple[int, int], Fraction] = {}
         self._counts = [0] * instance.n
-
-    @property
-    def n(self) -> int:
-        return self._hidden.n
-
-    @property
-    def m(self) -> int:
-        return self._hidden.m
 
     def query(self, agent: int, good: int) -> Fraction:
         """Return the hidden value, recording and charging a fresh query."""
@@ -72,16 +55,26 @@ class QueryOracle:
         self._counts[agent] += 1
         return value
 
-    def ordinal_view(self) -> PreferenceProfile:
-        """The consistent preference rankings; costs nothing."""
-        return self._profile
-
     def snapshot_counts(self) -> dict[int, int]:
         return {i: c for i, c in enumerate(self._counts)}
 
-    def transcript(self) -> Transcript:
-        return Transcript(tuple((a, g, v) for (a, g), v in self._answers.items()))
+    def transcript(self) -> tuple[tuple[int, int, Fraction], ...]:
+        """The answered queries as (agent, good, value), in the order first asked."""
+        return tuple((a, g, v) for (a, g), v in self._answers.items())
 
     def hidden_instance(self) -> Instance:
         """The ground truth. For measurement and tests only, never for algorithms."""
         return self._hidden
+
+
+def first_disagreement(instance: Instance, answers: Iterable[tuple]) -> Optional[tuple]:
+    """The first (agent, good, value) answer that names no agent or good of
+    the instance, or whose value is not the instance's v_agent(good); None
+    when the instance agrees with every answer."""
+    for agent, good, value in answers:
+        if not (0 <= agent < instance.n and 0 <= good < instance.m) or (
+            value.numerator * instance.scales[agent]
+            != int(instance.scaled_values[agent, good]) * value.denominator
+        ):
+            return agent, good, value
+    return None

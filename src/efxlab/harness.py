@@ -27,12 +27,11 @@ from .core import (
     DomainError,
     FairDivisionError,
     Instance,
-    build_ranking,
     fairness_report,
     format_value,
     parse_value,
 )
-from .elicitation import QueryOracle
+from .elicitation import QueryOracle, first_disagreement
 from .enclosures import pow_enclosure
 from .fullinfo import best_alpha_bruteforce, envy_cycle_heuristic
 from .ordinal import round_robin, rrla
@@ -353,13 +352,6 @@ def sweep(config: dict, out: TextIO) -> None:
             row_id += 1
 
 
-def _consistent_with_ranking(instance: Instance, reference: Instance) -> bool:
-    """True if instance's values are nonincreasing along reference's rankings."""
-    order = np.array(build_ranking(reference).rankings)
-    along = np.take_along_axis(instance.scaled_values, order, axis=1)
-    return not (along[:, 1:] > along[:, :-1]).any()
-
-
 def adversary_ordinal(n: int, m: int, algorithm: str) -> dict:
     """Run an algorithm against the ordinal family and report the check."""
     family = ordinal_lb_build(n, m)
@@ -400,12 +392,14 @@ def adversary_query(n: int, k: int, t: int, algorithm: str, budget: int) -> dict
             f"algorithm {algorithm!r} not supported against the query family"
         )
     allocation = ALGORITHM_SPECS[algorithm].run(run_oracle, budget, None, "envy_cycle")[0]
-    picked, pair_bound = query_adversary_complete(
-        family, run_oracle.transcript(), allocation
-    )
+    transcript = run_oracle.transcript()
+    picked, pair_bound = query_adversary_complete(family, transcript, allocation)
     measured = fairness_report(picked, allocation).alpha_efx
     cap = query_family_cap(family)
-    consistent = _consistent_with_ranking(picked, family.revealed)
+    # The completion must keep the rankings the run saw and every answer.
+    along = np.take_along_axis(picked.scaled_values, np.array(run_oracle.rankings), axis=1)
+    kept = not first_disagreement(picked, transcript)
+    consistent = kept and not (along[:, 1:] > along[:, :-1]).any()
     return {
         "family": "query",
         "n": n,

@@ -28,7 +28,7 @@ def round_robin(
     ``participants`` and ``pool`` restrict the run to a subset of agents and
     goods (used when this serves as a subroutine).
     """
-    profile = oracle.ordinal_view()
+    rankings = oracle.rankings
     n, m = oracle.n, oracle.m
     agents = list(participants) if participants is not None else list(range(n))
     if not agents:
@@ -46,7 +46,7 @@ def round_robin(
         for i in agents:
             if remaining == 0:
                 break
-            g = _pick_top(profile.rankings[i], taken, cursor, i)
+            g = _pick_top(rankings[i], taken, cursor, i)
             taken[g] = True
             remaining -= 1
             bundles[i].add(g)
@@ -55,7 +55,7 @@ def round_robin(
 
 def rrla(oracle: QueryOracle) -> Allocation:
     """One pick each for the first n-1 agents, the rest to the last agent."""
-    profile = oracle.ordinal_view()
+    rankings = oracle.rankings
     n, m = oracle.n, oracle.m
     taken = [False] * m
     bundles: list[set[int]] = [set() for _ in range(n)]
@@ -64,7 +64,7 @@ def rrla(oracle: QueryOracle) -> Allocation:
     for i in range(n - 1):
         if remaining == 0:
             break
-        g = _pick_top(profile.rankings[i], taken, cursor, i)
+        g = _pick_top(rankings[i], taken, cursor, i)
         taken[g] = True
         remaining -= 1
         bundles[i].add(g)

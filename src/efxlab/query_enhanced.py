@@ -65,7 +65,7 @@ def _last_position_at_least(
     Values along the ranking are nonincreasing, so the predicate is monotone
     and binary search applies; repeated probes are free via deduplication.
     """
-    ranking = oracle.ordinal_view().rankings[agent]
+    ranking = oracle.rankings[agent]
     answer = lo - 1
     while lo <= hi:
         mid = (lo + hi) // 2
@@ -87,7 +87,7 @@ def bucketize(oracle: QueryOracle, agent: int, k: int) -> AgentVirtualValuation:
     n, m = oracle.n, oracle.m
     if m < n:
         raise DomainError("bucketize requires m >= n")
-    ranking = oracle.ordinal_view().rankings[agent]
+    ranking = oracle.rankings[agent]
     top_values = tuple(oracle.query(agent, ranking[pos]) for pos in range(n - 1))
     thresholds = bucket_thresholds(m, k)
     anchor = top_values[-1] if top_values else Fraction(0)
@@ -116,7 +116,7 @@ def virtual_instance(
     every value but 0 occurs in it, so the row is in lowest terms; it is
     written one run at a time over a row of zeros.
     """
-    rankings, m = oracle.ordinal_view().rankings, oracle.m
+    rankings, m = oracle.rankings, oracle.m
     scaled, scales = [], []
     for ranking, vv in zip(rankings, virtuals, strict=True):
         anchor = vv.top_values[-1] if vv.top_values else Fraction(0)
@@ -263,7 +263,7 @@ def prr(oracle: QueryOracle, params: PRRParams) -> Allocation:
     n, m = oracle.n, oracle.m
     if m < n:
         return trivial_few_goods_allocation(n, m)
-    profile = oracle.ordinal_view()
+    rankings = oracle.rankings
     k = params.k
     active = set(range(n))
     singled: dict[int, int] = {}
@@ -272,11 +272,11 @@ def prr(oracle: QueryOracle, params: PRRParams) -> Allocation:
     # Each round visits the active agents by (top good, index); once one of
     # the agents sharing a top good is accepted, the others wait a round.
     while active and len(singled) < n - 1:
-        tops = {i: next(g for g in profile.rankings[i] if not taken[g]) for i in active}
+        tops = {i: next(g for g in rankings[i] if not taken[g]) for i in active}
         for i in sorted(active, key=lambda i: (tops[i], i)):
             if taken[tops[i]]:
                 continue
-            segment_tops = _segment_tops(profile.rankings[i], taken, params.alpha, k)
+            segment_tops = _segment_tops(rankings[i], taken, params.alpha, k)
             seg_values = [oracle.query(i, sg) for sg in segment_tops]
             active.discard(i)
             top_value = seg_values[0]

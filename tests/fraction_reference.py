@@ -8,7 +8,8 @@ instance, the match-freeze and mfrr drivers with their own round loops, the
 grouped ``prr`` round loop, the recursive matching, the root enclosure bisected in
 ``Fraction`` arithmetic with ``theorem5_params``' segment-size refine loop on top,
 the harness's per-algorithm dispatch chains and the
-query adversary over ``Fraction`` rows. The differential tests run the library against these
+query adversary over ``Fraction`` rows, with its ``Fraction`` tier values and its
+ranking-only consistency check. The differential tests run the library against these
 and require identical outputs; nothing outside the tests imports this module.
 """
 
@@ -29,7 +30,6 @@ from efxlab.core import (
     Instance,
     InvalidAllocation,
     OverlapError,
-    PreferenceProfile,
     format_value,
     parse_value,
 )
@@ -124,12 +124,11 @@ def query_lb_revealed(n: int, k: int, t: int, sqrt_lo: Fraction) -> Instance:
     return Instance.from_rows([row] * n)
 
 
-def build_ranking(instance: Instance) -> PreferenceProfile:
-    rankings = tuple(
+def build_ranking(instance: Instance) -> tuple[tuple[int, ...], ...]:
+    return tuple(
         tuple(sorted(range(instance.m), key=lambda g: (-row[g], g)))
         for row in fraction_rows(instance)
     )
-    return PreferenceProfile(rankings)
 
 
 def fairness_report(instance: Instance, allocation: Allocation) -> FairnessReport:
@@ -413,16 +412,16 @@ def virtual_row(vv, ranking: Sequence[int], m: int) -> tuple[Fraction, ...]:
 
 def virtual_instance(oracle, virtuals) -> Instance:
     """The former ``Fraction``-row build of the ``virtual_efx`` proxy."""
-    profile = oracle.ordinal_view()
+    rankings = oracle.rankings
     rows = tuple(
-        virtual_row(virtuals[i], profile.rankings[i], oracle.m) for i in range(oracle.n)
+        virtual_row(virtuals[i], rankings[i], oracle.m) for i in range(oracle.n)
     )
     return Instance.from_rows(rows)
 
 
 def uncovered_instance(oracle, transitions) -> Instance:
     """The former ``Fraction``-row build of mfrr's uncovered instance."""
-    profile = oracle.ordinal_view()
+    rankings = oracle.rankings
     n, m = oracle.n, oracle.m
     rows = []
     meta = []
@@ -433,7 +432,7 @@ def uncovered_instance(oracle, transitions) -> Instance:
             meta.append((Fraction(1), Fraction(0)))
             continue
         row = [Fraction(0)] * m
-        for pos, g in enumerate(profile.rankings[i]):
+        for pos, g in enumerate(rankings[i]):
             row[g] = info.high if pos < info.transition_rank - 1 else info.low
         rows.append(row)
         meta.append((info.high, info.low))
@@ -463,7 +462,7 @@ def mfrr(oracle) -> Allocation:
     n, m = oracle.n, oracle.m
     if m < n:
         return core.trivial_few_goods_allocation(n, m)
-    profile = oracle.ordinal_view()
+    rankings = oracle.rankings
     transitions = {}
     flat = []
     for i in range(n):
@@ -485,7 +484,7 @@ def mfrr(oracle) -> Allocation:
             if not state.pool:
                 break
             pos = cursor[i]
-            ranking = profile.rankings[i]
+            ranking = rankings[i]
             while ranking[pos] not in state.pool:
                 pos += 1
             cursor[i] = pos + 1
@@ -500,7 +499,7 @@ def prr(oracle, params) -> Allocation:
     n, m = oracle.n, oracle.m
     if m < n:
         return core.trivial_few_goods_allocation(n, m)
-    profile = oracle.ordinal_view()
+    rankings = oracle.rankings
     k = params.k
     active = set(range(n))
     singled: dict[int, int] = {}
@@ -510,7 +509,7 @@ def prr(oracle, params) -> Allocation:
     while active and len(singled) < n - 1:
         tops = {}
         for i in sorted(active):
-            tops[i] = next(g for g in profile.rankings[i] if not taken[g])
+            tops[i] = next(g for g in rankings[i] if not taken[g])
         top_goods = sorted(set(tops.values()))
         progressed = False
         for g in top_goods:
@@ -520,7 +519,7 @@ def prr(oracle, params) -> Allocation:
                 if i not in active:
                     continue
                 segment_tops = query_enhanced._segment_tops(
-                    profile.rankings[i], taken, params.alpha, k
+                    rankings[i], taken, params.alpha, k
                 )
                 seg_values = [oracle.query(i, sg) for sg in segment_tops]
                 active.discard(i)
@@ -834,6 +833,20 @@ def _with_row(base: Instance, agent: int, row: tuple[Fraction, ...]) -> Instance
     return Instance.from_rows(rows)
 
 
+def segment_value(family, level: int) -> Fraction:
+    """The family's value of the goods in middle segment ``level`` (1-based)."""
+    return Fraction(1, family.t ** (2 * level))
+
+
+def consistent_with_ranking(instance: Instance, reference: Instance) -> bool:
+    """True if the instance's values are nonincreasing along the reference's rankings."""
+    rows = fraction_rows(instance)
+    return all(
+        all(row[a] >= row[b] for a, b in zip(ranking, ranking[1:]))
+        for row, ranking in zip(rows, build_ranking(reference))
+    )
+
+
 def query_adversary_complete(family, transcript, allocation: Allocation):
     revealed = family.revealed
     core.validate(revealed, allocation)
@@ -841,7 +854,7 @@ def query_adversary_complete(family, transcript, allocation: Allocation):
         raise DomainError("adversary requires a complete allocation")
     revealed_rows = fraction_rows(revealed)
     queried: dict[int, set[int]] = {i: set() for i in range(family.n)}
-    for agent, good, value in transcript.entries:
+    for agent, good, value in transcript:
         if revealed_rows[agent][good] != value:
             raise adversarial.InconsistentTranscript(
                 f"transcript says v_{agent}(g{good}) = {value}, family reveals "
@@ -864,7 +877,7 @@ def query_adversary_complete(family, transcript, allocation: Allocation):
     ranking_row = list(revealed_rows[holder])
 
     if last_top not in queried[holder]:
-        next_value = family.segment_value(1) if family.k >= 2 else Fraction(0)
+        next_value = segment_value(family, 1) if family.k >= 2 else Fraction(0)
         ranking_row[last_top] = next_value
         completed = _with_row(revealed, holder, tuple(ranking_row))
         return completed, pair_cap(completed, allocation, holder, unserved)
@@ -876,9 +889,9 @@ def query_adversary_complete(family, transcript, allocation: Allocation):
         if any(g in queried[holder] for g in members):
             continue
         if kind == "seg":
-            raised = family.top_value if level == 1 else family.segment_value(level - 1)
+            raised = family.top_value if level == 1 else segment_value(family, level - 1)
         else:
-            raised = family.segment_value(family.k - 1) if family.k >= 2 else family.top_value
+            raised = segment_value(family, family.k - 1) if family.k >= 2 else family.top_value
         for g in members:
             ranking_row[g] = raised
         completed = _with_row(revealed, holder, tuple(ranking_row))
@@ -907,7 +920,7 @@ def adversary_query(n: int, k: int, t: int, algorithm: str, budget: int) -> dict
     picked, pair_bound = query_adversary_complete(family, run_oracle.transcript(), allocation)
     measured = core.fairness_report(picked, allocation).alpha_efx
     cap = harness.query_family_cap(family)
-    consistent = harness._consistent_with_ranking(picked, family.revealed)
+    consistent = consistent_with_ranking(picked, family.revealed)
     return {
         "family": "query",
         "n": n,

@@ -9,7 +9,6 @@ from efxlab import (
     DomainError,
     InconsistentTranscript,
     QueryOracle,
-    Transcript,
     build_ranking,
     fairness_report,
     ordinal_adversary_pick,
@@ -19,8 +18,10 @@ from efxlab import (
     round_robin,
     rrla,
 )
+from efxlab import adversarial
 from efxlab.enclosures import pow_enclosure, sqrt_enclosure
 from efxlab.harness import query_family_cap
+from test_enclosures import time_limit
 
 
 # ---- ordinal family ---------------------------------------------------
@@ -107,10 +108,31 @@ def test_query_family_domain():
         query_lb_build(2, 1, 1)
 
 
+def test_families_beyond_the_size_limit_are_domain_errors():
+    # n * m above the limit, or so many goods that t**(2k-1) is never computed.
+    with time_limit(5):
+        with pytest.raises(DomainError, match="exceeds"):
+            ordinal_lb_build(2, 10**11)
+        for n, k, t in ((2, 16, 3), (2, 40, 2), (2, 10**4, 10**9), (2, 1, 10**7), (10**6, 2, 3)):
+            with pytest.raises(DomainError, match="exceeds"):
+                query_lb_build(n, k, t)
+
+
+def test_size_limit_admits_exactly_the_limit(monkeypatch):
+    monkeypatch.setattr(adversarial, "MAX_FAMILY_VALUES", 16)
+    assert ordinal_lb_build(2, 8).case1.m == 8
+    assert query_lb_build(2, 2, 2).m == 8
+    with pytest.raises(DomainError, match="2 x 9 values exceeds 16"):
+        ordinal_lb_build(2, 9)
+    for n, k in ((3, 2), (2, 3), (2, 4)):  # 3 x 8, 2 x 32 and 2 x 2**7 values
+        with pytest.raises(DomainError, match="exceeds 16"):
+            query_lb_build(n, k, 2)
+
+
 def test_adversary_case1_top_good_in_big_bundle():
     fam = query_lb_build(2, 2, 2)
     a = Allocation.from_bundles([[0, 1], [2, 3, 4, 5, 6, 7]])
-    picked, bound = query_adversary_complete(fam, Transcript(()), a)
+    picked, bound = query_adversary_complete(fam, (), a)
     assert picked is fam.revealed
     assert fairness_report(picked, a).alpha_efx <= bound
 
@@ -119,7 +141,7 @@ def test_adversary_case2_unqueried_own_good_dropped():
     fam = query_lb_build(2, 2, 2)
     # Singleton for the top good's holder; she never queried it.
     a = Allocation.from_bundles([[0], [1, 2, 3, 4, 5, 6, 7]])
-    picked, bound = query_adversary_complete(fam, Transcript(()), a)
+    picked, bound = query_adversary_complete(fam, (), a)
     holder_row, other_row = fraction_rows(picked)
     assert holder_row[0] == Fraction(1, 4)  # dropped to the next tier
     assert other_row == fraction_rows(fam.revealed)[1]  # only her row changed
@@ -130,7 +152,7 @@ def test_adversary_case2_unqueried_tier_raised():
     fam = query_lb_build(2, 2, 2)
     a = Allocation.from_bundles([[0], [1, 2, 3, 4, 5, 6, 7]])
     # The holder queried her own good, so an untouched tier gets raised.
-    transcript = Transcript(((0, 0, fam.top_value),))
+    transcript = ((0, 0, fam.top_value),)
     picked, bound = query_adversary_complete(fam, transcript, a)
     row = fraction_rows(picked)[0]
     assert row[0] == fam.top_value
@@ -142,7 +164,7 @@ def test_adversary_case2_unqueried_tier_raised():
 def test_adversary_rejects_inconsistent_transcript():
     fam = query_lb_build(2, 2, 2)
     a = Allocation.from_bundles([[0], [1, 2, 3, 4, 5, 6, 7]])
-    bad = Transcript(((0, 0, Fraction(5)),))
+    bad = ((0, 0, Fraction(5)),)
     with pytest.raises(InconsistentTranscript):
         query_adversary_complete(fam, bad, a)
 
@@ -151,14 +173,13 @@ def test_adversary_rejects_inconsistent_transcript():
 def test_adversary_rejects_transcript_outside_the_family(agent, good):
     fam = query_lb_build(2, 2, 2)  # n = 2, m = 8
     a = Allocation.from_bundles([[0], [1, 2, 3, 4, 5, 6, 7]])
-    bad = Transcript(((agent, good, Fraction(0)),))
+    bad = ((agent, good, Fraction(0)),)
     with pytest.raises(DomainError, match="outside the family"):
         query_adversary_complete(fam, bad, a)
 
 
 def _ranking_consistent(instance, reference):
-    profile = build_ranking(reference)
-    for r, row in zip(profile.rankings, fraction_rows(instance)):
+    for r, row in zip(build_ranking(reference), fraction_rows(instance)):
         if any(row[a] < row[b] for a, b in zip(r, r[1:])):
             return False
     return True
@@ -166,7 +187,7 @@ def _ranking_consistent(instance, reference):
 
 def _transcript_respected(instance, transcript):
     rows = fraction_rows(instance)
-    return all(rows[a][g] == v for a, g, v in transcript.entries)
+    return all(rows[a][g] == v for a, g, v in transcript)
 
 
 @pytest.mark.parametrize("n,k,t", [(2, 2, 2), (3, 2, 2), (2, 2, 3), (2, 3, 2)])

@@ -16,7 +16,6 @@ from efxlab import (
     DomainError,
     Instance,
     QueryOracle,
-    Transcript,
     cli,
     fairness_report,
     harness,
@@ -25,6 +24,7 @@ from efxlab import (
     rrla,
 )
 from efxlab.core import pair_factor
+from efxlab.elicitation import first_disagreement
 from efxlab.harness import ALGORITHM_SPECS, ALGORITHMS, BLACKBOXES
 
 NAMES = ALGORITHMS + ("nope",)
@@ -136,7 +136,7 @@ def test_query_adversary_matches_fraction_completion(n, k, t, seed, spread, quer
     if lie and entries:
         agent, good, value = entries[-1]
         entries[-1] = (agent, good, value + Fraction(1, 7))
-    transcript = Transcript(tuple(entries))
+    transcript = tuple(entries)
     new = outcome(lambda: query_adversary_complete(family, transcript, allocation))
     old = outcome(lambda: ref.query_adversary_complete(family, transcript, allocation))
     assert new == old
@@ -158,7 +158,7 @@ def test_query_adversary_raises_each_tier(queried, raised):
     family = query_lb_build(2, 3, 2)
     allocation = Allocation.from_bundles([[0], range(1, 32)])
     row = ref.fraction_rows(family.revealed)[0]
-    transcript = Transcript(tuple((0, g, row[g]) for g in queried))
+    transcript = tuple((0, g, row[g]) for g in queried)
     new = outcome(lambda: query_adversary_complete(family, transcript, allocation))
     assert new == outcome(lambda: ref.query_adversary_complete(family, transcript, allocation))
     if raised is None:
@@ -168,15 +168,66 @@ def test_query_adversary_raises_each_tier(queried, raised):
         assert {g: ref.fraction_rows(new[0])[0][g] for g in raised} == expected
 
 
-def test_query_adversary_checks_raised_values_fit_the_scale():
+@pytest.mark.parametrize(
+    "transcript,holder_row",
+    [((), [1, 1, 1, 0, 0, 0, 0, 0]), (((0, 0, Fraction(2)),), [2, 2, 2, 0, 0, 0, 0, 0])],
+    ids=["own-good-dropped", "segment-raised"],
+)
+def test_query_adversary_completes_a_coarse_scale_from_revealed_values(transcript, holder_row):
     family = query_lb_build(2, 2, 2)
-    # Same ranking, but on scale 1, where the next tier's 1/4 is not an integer.
+    # Same ranking, but on scale 1, where the family's tier value 1/4 is not an
+    # integer: the completion copies values the row already holds.
     row = [2, 1, 1, 0, 0, 0, 0, 0]
     coarse = Instance.from_scaled([row, row], (1, 1))
     family = dataclasses.replace(family, revealed=coarse)
     allocation = rrla(QueryOracle(coarse))
-    with pytest.raises(DomainError, match="not on the revealed scale"):
-        query_adversary_complete(family, Transcript(()), allocation)
+    picked, bound = query_adversary_complete(family, transcript, allocation)
+    assert picked.scaled_values.tolist() == [holder_row, row] and picked.scales == (1, 1)
+    assert ref.consistent_with_ranking(picked, coarse)
+    assert first_disagreement(picked, transcript) is None
+    assert bound == pair_factor(picked, allocation, 0, 1)
+
+
+def _double_a_queried_row(rows, transcript):
+    agent = next(a for a, _, value in transcript if value > 0)
+    rows[agent] = [2 * v for v in rows[agent]]
+
+
+def _raise_an_unqueried_good(rows, transcript):
+    agent = transcript[0][0]
+    asked = {g for a, g, _ in transcript if a == agent}
+    good = max(g for g in range(len(rows[agent])) if g not in asked)
+    rows[agent][good] = 2 * max(rows[agent])
+
+
+@pytest.mark.parametrize(
+    "bend", [_double_a_queried_row, _raise_an_unqueried_good],
+    ids=["answer-changed", "ranking-broken"],
+)
+def test_adversary_query_flags_an_inconsistent_completion(capsys, bend):
+    """A completion that doubles one queried agent's values keeps every
+    ranking but changes her answers; one that raises an unqueried bottom good
+    keeps every answer but breaks her ranking. Either way the check fails and
+    the CLI exits 3."""
+    argv = ["adversary", "--family", "query", "--n", "2", "--k", "2", "--t", "3", "--alg", "prr"]
+    assert harness.adversary_query(2, 2, 3, "prr", 2)["pass"]
+    real = harness.query_adversary_complete
+
+    def complete(family, transcript, allocation):
+        picked, bound = real(family, transcript, allocation)
+        rows = [list(row) for row in ref.fraction_rows(picked)]
+        bend(rows, transcript)
+        bent = Instance.from_rows(rows)
+        # Exactly one half of the check fails.
+        kept = first_disagreement(bent, transcript) is None
+        assert ref.consistent_with_ranking(bent, family.revealed) != kept
+        return bent, bound
+
+    with mock.patch.object(harness, "query_adversary_complete", complete):
+        result = harness.adversary_query(2, 2, 3, "prr", 2)
+        assert cli.main(argv) == cli.EXIT_GUARANTEE
+    assert result["consistent"] is False and result["pass"] is False
+    assert '"consistent": false' in capsys.readouterr().out
 
 
 @st.composite

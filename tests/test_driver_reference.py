@@ -28,7 +28,7 @@ def outcome(algorithm, instance, *args):
         allocation = algorithm(oracle, *args)
     except FairDivisionError as exc:
         return type(exc), str(exc)
-    return allocation, oracle.transcript().entries
+    return allocation, oracle.transcript()
 
 
 def tied_instance(rng: random.Random) -> Instance:

@@ -317,6 +317,18 @@ def test_cli_run_prr_with_oversized_segments_exits_2_quickly(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["gen", "--kind", "ordinal_lb", "--n", "2", "--m", "100000000000"],
+     ["adversary", "--family", "query", "--n", "2", "--k", "16", "--t", "3", "--alg", "prr"]],
+    ids=["ordinal", "query"],
+)
+def test_cli_oversized_family_exits_2_quickly(capsys, argv):
+    with time_limit(5):
+        assert main(argv) == EXIT_VALIDATION
+    assert "values exceeds 10000000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "text",
     ["not json", '{"m": 2, "values": [["1", "2"]]}', '{"n": 1, "values": [["1", "2"]]}',
      '{"n": 1, "m": 2}', '[1, 2]', '{"n": 1, "m": 2, "values": 5}'],

@@ -45,7 +45,7 @@ def test_bucketize_worked_example():
     vv = bucketize(o, 0, k=1)
     assert vv.top_values == (Fraction(8),)
     assert vv.bucket_bounds == (1,)
-    row = ref.virtual_row(vv, o.ordinal_view().rankings[0], o.m)
+    row = ref.virtual_row(vv, o.rankings[0], o.m)
     assert row == (Fraction(8), Fraction(4), Fraction(0), Fraction(0))
 
 
@@ -55,7 +55,7 @@ def test_bucketize_zero_anchor_skips_searches():
     vv = bucketize(o, 0, k=3)
     # Only the top n-1 = 2 queries; no binary searches spent.
     assert o.snapshot_counts()[0] == 2
-    row = ref.virtual_row(vv, o.ordinal_view().rankings[0], o.m)
+    row = ref.virtual_row(vv, o.rankings[0], o.m)
     assert row == (Fraction(5), Fraction(0), Fraction(0), Fraction(0))
 
 
@@ -75,7 +75,7 @@ def test_virtual_dominance_and_bucket_membership():
         inst = Instance.from_rows(random_rows(rng, n, m))
         o = QueryOracle(inst)
         vv = bucketize(o, 0, k)
-        ranking = o.ordinal_view().rankings[0]
+        ranking = o.rankings[0]
         row = ref.virtual_row(vv, ranking, m)
         anchor = vv.top_values[-1]
         thresholds = vv.thresholds

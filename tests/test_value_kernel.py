@@ -119,7 +119,7 @@ def test_query_answers_equal_the_rationals(bivalued_meta, data):
         for g, v in enumerate(row):
             answer = oracle.query(i, g)
             assert answer == v and type(answer) is Fraction
-    assert [v for _, _, v in oracle.transcript().entries] == [v for row in rows for v in row]
+    assert [v for _, _, v in oracle.transcript()] == [v for row in rows for v in row]
 
 
 @settings(max_examples=200, deadline=None)
