@@ -19,8 +19,8 @@ from .core import (
 from .elicitation import first_disagreement
 from .enclosures import sqrt_enclosure
 
-# The most values (n * m) a lower-bound family is built with; a bigger family
-# would not fit in memory.
+# The most values (n * m) a lower-bound family or a generated instance is built
+# with; a bigger one would not fit in memory.
 MAX_FAMILY_VALUES = 10**7
 
 

@@ -18,8 +18,8 @@ from .core import (
     DomainError,
     FairDivisionError,
     Instance,
+    exact_fields,
     fairness_report,
-    format_value,
     parse_value,
 )
 from .fullinfo import best_alpha_bruteforce
@@ -170,13 +170,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "oracle":
             instance = _load_instance(args.instance)
             alpha, witness = best_alpha_bruteforce(instance)
-            _emit(
-                {
-                    "best_alpha": format_value(alpha),
-                    "best_alpha_decimal": float(alpha),
-                    "allocation": witness.to_json(),
-                }
-            )
+            _emit({**exact_fields("best_alpha", alpha), "allocation": witness.to_json()})
             return EXIT_OK
 
         if args.command == "adversary":
@@ -198,10 +192,8 @@ def main(argv: list[str] | None = None) -> int:
             report = fairness_report(instance, allocation)
             _emit(
                 {
-                    "alpha_efx": format_value(report.alpha_efx),
-                    "alpha_efx_decimal": float(report.alpha_efx),
-                    "alpha_ef1": format_value(report.alpha_ef1),
-                    "alpha_ef1_decimal": float(report.alpha_ef1),
+                    **exact_fields("alpha_efx", report.alpha_efx),
+                    **exact_fields("alpha_ef1", report.alpha_ef1),
                     "efx_binding": report.efx_binding,
                     "ef1_binding": report.ef1_binding,
                 }

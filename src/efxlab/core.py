@@ -56,6 +56,12 @@ def format_value(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
+def exact_fields(name: str, value: Fraction, decimal: str = "_decimal") -> dict:
+    """How every output shows an exact value: its text under ``name`` and,
+    for reading only, its float under ``name + decimal``."""
+    return {name: format_value(value), name + decimal: float(value)}
+
+
 def _rational(v: object) -> Fraction:
     """``Fraction(v)`` for an int, Fraction, float or rational text (a float
     keeps its exact binary value); anything else is a :class:`DomainError`."""

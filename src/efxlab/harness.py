@@ -15,6 +15,7 @@ from typing import Callable, Optional, TextIO
 import numpy as np
 
 from .adversarial import (
+    MAX_FAMILY_VALUES,
     QueryLBFamily,
     ordinal_adversary_pick,
     ordinal_lb_build,
@@ -27,6 +28,7 @@ from .core import (
     DomainError,
     FairDivisionError,
     Instance,
+    exact_fields,
     fairness_report,
     format_value,
     parse_value,
@@ -127,7 +129,8 @@ class RunRecord:
     """Everything one algorithm run produced, bound check included.
 
     ``bound_kind`` says which metric the bound constrains ("efx" or "ef1");
-    ``bound_satisfied`` is recomputable as metric >= bound.
+    ``bound_satisfied`` is recomputable as metric >= bound. The run saw only
+    ``rankings`` and ``transcript``, its answers (agent, good, value) in order.
     """
 
     instance_id: str
@@ -141,6 +144,8 @@ class RunRecord:
     bound_satisfied: bool
     wall_time: float
     allocation: Allocation
+    rankings: tuple[tuple[int, ...], ...]
+    transcript: tuple[tuple[int, int, Fraction], ...]
     extras: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -149,12 +154,9 @@ class RunRecord:
             "algorithm": self.algorithm,
             "params": {k: str(v) for k, v in self.params.items()},
             "query_counts": self.query_counts,
-            "alpha_efx": format_value(self.alpha_efx),
-            "alpha_efx_decimal": float(self.alpha_efx),
-            "alpha_ef1": format_value(self.alpha_ef1),
-            "alpha_ef1_decimal": float(self.alpha_ef1),
-            "bound": format_value(self.bound),
-            "bound_decimal": float(self.bound),
+            **exact_fields("alpha_efx", self.alpha_efx),
+            **exact_fields("alpha_ef1", self.alpha_ef1),
+            **exact_fields("bound", self.bound),
             "bound_kind": self.bound_kind,
             "bound_satisfied": self.bound_satisfied,
             "wall_time": self.wall_time,
@@ -181,6 +183,8 @@ def generate_instance(
         raise DomainError(f"{kind} generation needs m")
     if kind in ("uniform", "bivalued") and m < 1:
         raise DomainError(f"need m >= 1, got m={m}")
+    if kind in ("uniform", "bivalued") and n * m > MAX_FAMILY_VALUES:
+        raise DomainError(f"instance of {n} x {m} values exceeds {MAX_FAMILY_VALUES}")
     rng = random.Random(seed)
     if kind == "uniform":
         rows = [[rng.randint(0, 20) for _ in range(m)] for _ in range(n)]
@@ -247,6 +251,8 @@ def execute(
         bound_satisfied=metric >= bound,
         wall_time=wall,
         allocation=allocation,
+        rankings=oracle.rankings,
+        transcript=oracle.transcript(),
         extras=extras,
     )
 
@@ -337,12 +343,9 @@ def sweep(config: dict, out: TextIO) -> None:
                     instance_id=f"{kind}-{seed}",
                 )
                 row.update(
-                    alpha_efx=format_value(record.alpha_efx),
-                    alpha_efx_dec=float(record.alpha_efx),
-                    alpha_ef1=format_value(record.alpha_ef1),
-                    alpha_ef1_dec=float(record.alpha_ef1),
-                    bound=format_value(record.bound),
-                    bound_dec=float(record.bound),
+                    **exact_fields("alpha_efx", record.alpha_efx, "_dec"),
+                    **exact_fields("alpha_ef1", record.alpha_ef1, "_dec"),
+                    **exact_fields("bound", record.bound, "_dec"),
                     bound_ok=record.bound_satisfied,
                     max_queries=max(record.query_counts),
                 )
@@ -386,19 +389,17 @@ def adversary_query(n: int, k: int, t: int, algorithm: str, budget: int) -> dict
     if k < 2:
         raise DomainError("the query family adversary needs k >= 2")
     family = query_lb_build(n, k, t)
-    run_oracle = QueryOracle(family.revealed, budget=budget)
     if algorithm not in ALGORITHMS or not ALGORITHM_SPECS[algorithm].query_family:
         raise DomainError(
             f"algorithm {algorithm!r} not supported against the query family"
         )
-    allocation = ALGORITHM_SPECS[algorithm].run(run_oracle, budget, None, "envy_cycle")[0]
-    transcript = run_oracle.transcript()
-    picked, pair_bound = query_adversary_complete(family, transcript, allocation)
-    measured = fairness_report(picked, allocation).alpha_efx
+    record = execute(family.revealed, algorithm, k=budget, budget=budget)
+    picked, pair_bound = query_adversary_complete(family, record.transcript, record.allocation)
+    measured = fairness_report(picked, record.allocation).alpha_efx
     cap = query_family_cap(family)
     # The completion must keep the rankings the run saw and every answer.
-    along = np.take_along_axis(picked.scaled_values, np.array(run_oracle.rankings), axis=1)
-    kept = not first_disagreement(picked, transcript)
+    along = np.take_along_axis(picked.scaled_values, np.array(record.rankings), axis=1)
+    kept = not first_disagreement(picked, record.transcript)
     consistent = kept and not (along[:, 1:] > along[:, :-1]).any()
     return {
         "family": "query",

@@ -798,6 +798,8 @@ def execute(
         bound_satisfied=metric >= bound,
         wall_time=0.0,
         allocation=allocation,
+        rankings=oracle.rankings,
+        transcript=oracle.transcript(),
         extras=extras,
     )
 

@@ -21,7 +21,7 @@ from efxlab import (
 from efxlab import adversarial
 from efxlab.enclosures import pow_enclosure, sqrt_enclosure
 from efxlab.harness import query_family_cap
-from test_enclosures import time_limit
+from helpers import time_limit
 
 
 # ---- ordinal family ---------------------------------------------------

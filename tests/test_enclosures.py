@@ -1,5 +1,3 @@
-import signal
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -13,6 +11,7 @@ from efxlab.enclosures import (
     pow_enclosure,
     sqrt_enclosure,
 )
+from helpers import time_limit
 
 
 def test_integer_nth_root_exact():
@@ -64,22 +63,6 @@ def test_enclosure_always_brackets(t, q):
 
 def test_exponent_reduction_consistent():
     assert pow_enclosure(7, 2, 4) == pow_enclosure(7, 1, 2)
-
-
-@contextmanager
-def time_limit(seconds: float):
-    """Fail the test instead of hanging when the body runs too long."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"took longer than {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def test_integer_nth_root_beyond_float_range():

@@ -23,7 +23,7 @@ from efxlab.harness import (
     generate_instance,
     sweep,
 )
-from test_enclosures import time_limit
+from helpers import time_limit
 
 
 def test_gen_deterministic():
@@ -80,6 +80,9 @@ def test_sweep_deterministic_and_columns():
         "runs": [
             {"kind": "uniform", "n": 3, "m": 8, "algorithm": "round_robin", "trials": 2, "seed": 5},
             {"kind": "bivalued", "n": 2, "m": 6, "algorithm": "mfrr", "trials": 1, "seed": 5},
+            {"kind": "uniform", "n": 3, "m": 8, "algorithm": "rrla", "trials": 1, "seed": 5},
+            {"kind": "uniform", "n": 2, "m": 9, "algorithm": "prr", "k": 2, "lam": "3/2",
+             "trials": 1, "seed": 1},
         ]
     }
     out1, out2 = io.StringIO(), io.StringIO()
@@ -87,9 +90,20 @@ def test_sweep_deterministic_and_columns():
     sweep(config, out2)
     assert out1.getvalue() == out2.getvalue()
     rows = list(csv.DictReader(io.StringIO(out1.getvalue())))
-    assert len(rows) == 3
+    assert len(rows) == 5
     assert list(rows[0].keys()) == SWEEP_COLUMNS
     assert all(r["error"] == "" for r in rows)
+    # Each row shows what `run` shows for the same job.
+    jobs = [(job, trial) for job in config["runs"] for trial in range(job["trials"])]
+    for row, (job, trial) in zip(rows, jobs, strict=True):
+        instance = generate_instance(job["kind"], job["n"], job["m"], seed=job["seed"] + trial)
+        lam = Fraction(job["lam"]) if "lam" in job else None
+        shown = execute(instance, job["algorithm"], k=job.get("k"), lam=lam).to_json()
+        for name in ("alpha_efx", "alpha_ef1", "bound"):
+            assert row[name] == shown[name]
+            assert row[name + "_dec"] == str(shown[name + "_decimal"])
+        assert row["bound_ok"] == str(shown["bound_satisfied"])
+        assert row["max_queries"] == str(max(shown["query_counts"]))
 
 
 def test_sweep_empty_config_header_only():
@@ -262,14 +276,17 @@ def test_sweep_bad_row_is_recorded_and_sweep_continues():
      ({"n": 2, "m": 6, "trials": 0, "algorithm": "rrla"},
       "DomainError: job field 'trials' must be >= 1, got 0"),
      ({"n": 2, "m": 6, "trials": -3, "algorithm": "rrla"},
-      "DomainError: job field 'trials' must be >= 1, got -3")],
+      "DomainError: job field 'trials' must be >= 1, got -3"),
+     ({"n": 2, "m": 100000000000, "algorithm": "rrla"},
+      "DomainError: instance of 2 x 100000000000 values exceeds 10000000")],
     ids=["no-n", "no-algorithm", "list-m", "bad-lambda", "not-an-object", "float-n", "bool-m",
          "text-seed", "float-trials", "float-k", "text-t", "bool-budget", "zero-trials",
-         "negative-trials"],
+         "negative-trials", "oversized-m"],
 )
 def test_sweep_malformed_jobs_give_error_rows(job, error):
     out = io.StringIO()
-    sweep({"runs": [job, {"n": 2, "m": 4, "algorithm": "rrla"}]}, out)
+    with time_limit(5):
+        sweep({"runs": [job, {"n": 2, "m": 4, "algorithm": "rrla"}]}, out)
     bad, good = csv.DictReader(io.StringIO(out.getvalue()))
     assert bad["error"].startswith(error)
     assert good["error"] == ""
@@ -319,8 +336,10 @@ def test_cli_run_prr_with_oversized_segments_exits_2_quickly(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [["gen", "--kind", "ordinal_lb", "--n", "2", "--m", "100000000000"],
-     ["adversary", "--family", "query", "--n", "2", "--k", "16", "--t", "3", "--alg", "prr"]],
-    ids=["ordinal", "query"],
+     ["adversary", "--family", "query", "--n", "2", "--k", "16", "--t", "3", "--alg", "prr"],
+     ["gen", "--kind", "uniform", "--n", "2", "--m", "100000000000"],
+     ["gen", "--kind", "bivalued", "--n", "2", "--m", "100000000000"]],
+    ids=["ordinal", "query", "uniform", "bivalued"],
 )
 def test_cli_oversized_family_exits_2_quickly(capsys, argv):
     with time_limit(5):
@@ -402,11 +421,14 @@ def test_cli_gen_zero_agents_exits_2(capsys):
     [(["adversary", "--family", "ordinal", "--n", "1", "--m", "12", "--alg", "rrla"], "n >= 2"),
      (["adversary", "--family", "query", "--n", "2", "--k", "2", "--t", "3", "--alg", "rrla",
        "--budget", "-1"], "budget must be >= 0"),
+     # The algorithm is checked before the budget.
+     (["adversary", "--family", "query", "--n", "2", "--k", "2", "--t", "3", "--alg",
+       "virtual_efx", "--budget", "-1"], "not supported against the query family"),
      (["gen", "--n", "-2", "--m", "3"], "need n >= 1, got n=-2"),
      (["gen", "--kind", "bivalued", "--n", "0", "--m", "3"], "need n >= 1, got n=0"),
      (["gen", "--n", "3", "--m", "-2"], "need m >= 1, got m=-2")],
-    ids=["ordinal-one-agent", "query-negative-budget", "gen-negative-n", "gen-zero-n",
-         "gen-negative-m"],
+    ids=["ordinal-one-agent", "query-negative-budget", "query-unsupported-negative-budget",
+         "gen-negative-n", "gen-zero-n", "gen-negative-m"],
 )
 def test_cli_malformed_arguments_exit_2(capsys, argv, message):
     assert main(argv) == EXIT_VALIDATION

@@ -25,7 +25,7 @@ from efxlab import (
 from efxlab.query_enhanced import bucket_thresholds, bucketize, virtual_instance
 from efxlab.enclosures import pow_enclosure, sqrt_enclosure
 from efxlab.harness import default_lambda
-from test_enclosures import time_limit
+from helpers import time_limit
 
 
 def oracle_for(rows, budget=None):

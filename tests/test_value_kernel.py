@@ -182,6 +182,12 @@ def check_instance(instance: Instance) -> None:
             assert fairness_report(instance, new.allocation) == ref.fairness_report(
                 instance, new.allocation
             )
+            # The record holds what the run saw: the rankings and every
+            # answer, one per charged query.
+            assert new.rankings == build_ranking(instance)
+            assert elicitation.first_disagreement(instance, new.transcript) is None
+            asked = [agent for agent, _, _ in new.transcript]
+            assert [asked.count(i) for i in range(instance.n)] == new.query_counts
 
 
 @settings(max_examples=150, deadline=None)
