@@ -291,5 +291,4 @@ def two_query_bivalued(oracle: QueryOracle) -> Allocation:
     n, m = oracle.n, oracle.m
     if m < 2 * n:
         raise DomainError("two-query variant requires m >= 2n")
-    params = PRRParams(k=2, alpha=(n - 1,), beta=(Fraction(m, 2),))
-    return prr(oracle, params)
+    return prr(oracle, PRRParams(alpha=(n - 1,), beta=(Fraction(m, 2),)))

@@ -39,10 +39,29 @@ class CompletenessError(InvalidAllocation):
     """Completeness flag disagrees with the allocated goods."""
 
 
+_DIGIT_BOUND = 10**4300  # Python reads int text of at most 4,300 digits
+
+
+def _fraction(v: object) -> Fraction:
+    """``Fraction(v)``, but text must give a numerator and denominator below
+    _DIGIT_BOUND, and an exponent beyond 4,300 in magnitude raises ValueError
+    before its power of ten is built."""
+    if not isinstance(v, str):
+        return Fraction(v)
+    _, e, exponent = v.upper().rpartition("E")
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if e and digits.isdecimal() and (len(digits) > 4 or int(digits) > 4300):
+        raise ValueError
+    value = Fraction(v)
+    if max(value.numerator, value.denominator) >= _DIGIT_BOUND:
+        raise ValueError
+    return value
+
+
 def parse_value(text: str | int) -> Fraction:
     """Parse "p/q", decimal, or integer text into an exact rational."""
     try:
-        v = Fraction(str(text))
+        v = _fraction(str(text))
     except (ValueError, ZeroDivisionError):
         raise DomainError(f"not a rational value: {text!r}") from None
     if v < 0:
@@ -66,7 +85,7 @@ def _rational(v: object) -> Fraction:
     """``Fraction(v)`` for an int, Fraction, float or rational text (a float
     keeps its exact binary value); anything else is a :class:`DomainError`."""
     try:
-        return Fraction(v)
+        return _fraction(v)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError):
         raise DomainError(f"not a rational value: {v!r}") from None
 

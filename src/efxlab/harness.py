@@ -38,6 +38,7 @@ from .enclosures import pow_enclosure
 from .fullinfo import best_alpha_bruteforce, envy_cycle_heuristic
 from .ordinal import round_robin, rrla
 from .query_enhanced import (
+    check_segment_room,
     prr,
     theorem5_bound,
     theorem5_params,
@@ -92,6 +93,7 @@ def _run_virtual_efx(oracle: QueryOracle, k: Optional[int], _lam, blackbox: str)
 def _run_prr(oracle: QueryOracle, k: Optional[int], lam: Optional[Fraction], _blackbox) -> tuple:
     n, m = oracle.n, oracle.m
     k = k if k is not None else 2
+    check_segment_room(m, k)
     lam = lam if lam is not None else default_lambda(n, m, k)
     allocation = prr(oracle, theorem5_params(n, m, k, lam))
     return allocation, theorem5_bound(n, m, k, lam), {"k": k, "lam": lam}, {}

@@ -35,11 +35,9 @@ def round_robin(
         raise DomainError("participants must be nonempty")
 
     taken = [True] * m
-    remaining = 0
     for g in pool if pool is not None else range(m):
         taken[g] = False
-        remaining += 1
-    pool_size = remaining
+    remaining = pool_size = taken.count(False)
     bundles: list[set[int]] = [set() for _ in range(n)]
     cursor = [0] * n
     while remaining > 0:

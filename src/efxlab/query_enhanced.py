@@ -8,6 +8,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Sequence
 
 from .core import (
@@ -94,13 +95,9 @@ def bucketize(oracle: QueryOracle, agent: int, k: int) -> AgentVirtualValuation:
     bounds = []
     prev = n - 2
     for level_value in thresholds:
-        if anchor == 0:
-            bounds.append(prev)
-            continue
-        cut = _last_position_at_least(oracle, agent, anchor * level_value, prev + 1, m - 1)
-        cut = max(cut, prev)
-        bounds.append(cut)
-        prev = cut
+        if anchor != 0:
+            prev = _last_position_at_least(oracle, agent, anchor * level_value, prev + 1, m - 1)
+        bounds.append(prev)
     return AgentVirtualValuation(top_values, thresholds, tuple(bounds))
 
 
@@ -175,21 +172,26 @@ def virtual_efx_bound(m: int, k: int, measured_rho: Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class PRRParams:
-    """Segment sizes and value-gap thresholds for the singleton filter."""
+    """Segment sizes and value-gap thresholds, k-1 of each, for k rank segments."""
 
-    k: int
     alpha: tuple[int, ...]
     beta: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ParamDomainError("k must be >= 1")
-        if len(self.alpha) != self.k - 1 or len(self.beta) != self.k - 1:
-            raise ParamDomainError("need exactly k-1 segment sizes and thresholds")
+        if len(self.alpha) != len(self.beta):
+            raise ParamDomainError("need one threshold per segment size")
         if any(a < 1 for a in self.alpha):
             raise ParamDomainError("segment sizes must be >= 1")
         if any(b <= 0 for b in self.beta):
             raise ParamDomainError("thresholds must be positive")
+
+
+def check_segment_room(m: int, k: int) -> None:
+    """Reject in O(1) a k whose theorem 5 segment sizes surely sum past m >= 1:
+    for 2k-1 >= 4 * m.bit_length(), r = m**(-2/(2k-1)) > 2**(-1/2), and for any
+    lam >= 1 the last two sizes alone are at least m*(r + r*r) > m."""
+    if 2 * k - 1 >= 4 * m.bit_length():
+        raise ParamDomainError("segment sizes must leave goods for the final segment")
 
 
 def _theorem5_lam(n: int, m: int, k: int, lam: Fraction) -> Fraction:
@@ -212,6 +214,8 @@ def theorem5_params(n: int, m: int, k: int, lam: Fraction) -> PRRParams:
     rational enclosures of sqrt(k) * m**(2l/(2k-1)). The sizes are rejected
     as soon as their running sum reaches m, before any threshold is built.
     """
+    if min(k, m, n) >= 1:  # otherwise _theorem5_lam names the bad argument
+        check_segment_room(m, k)
     lam = _theorem5_lam(n, m, k, lam)
     q = 2 * k - 1
     lam_num, lam_den = lam.numerator**q, lam.denominator**q
@@ -225,7 +229,7 @@ def theorem5_params(n: int, m: int, k: int, lam: Fraction) -> PRRParams:
             raise ParamDomainError("segment sizes must leave goods for the final segment")
     sqrt_k_hi = sqrt_enclosure(k)[1]
     betas = tuple(sqrt_k_hi * pow_enclosure(m, 2 * level, q)[1] for level in range(1, k))
-    return PRRParams(k=k, alpha=tuple(alphas), beta=betas)
+    return PRRParams(alpha=tuple(alphas), beta=betas)
 
 
 def theorem5_bound(n: int, m: int, k: int, lam: Fraction) -> Fraction:
@@ -238,33 +242,18 @@ def theorem5_bound(n: int, m: int, k: int, lam: Fraction) -> Fraction:
     return min(first, second)
 
 
-def _segment_tops(
-    ranking: Sequence[int], taken: Sequence[bool], alpha: Sequence[int], k: int
-) -> list[int]:
-    """First available good of each of the k rank segments (sizes alpha + rest)."""
-    available = [g for g in ranking if not taken[g]]
-    tops = []
-    start = 0
-    for level in range(k):
-        if start >= len(available):
-            break
-        tops.append(available[start])
-        size = alpha[level] if level < k - 1 else len(available) - start
-        start += size
-    return tops
-
-
 def prr(oracle: QueryOracle, params: PRRParams) -> Allocation:
     """Give a singleton to each agent whose top good dwarfs her segment tops,
     then round-robin the remaining goods among everyone else.
 
-    Each agent is considered at most once and queried for at most k goods.
+    Each agent is considered at most once and queried for at most k goods,
+    the first available good of each rank segment.
     """
     n, m = oracle.n, oracle.m
     if m < n:
         return trivial_few_goods_allocation(n, m)
     rankings = oracle.rankings
-    k = params.k
+    starts = tuple(accumulate(params.alpha, initial=0))
     active = set(range(n))
     singled: dict[int, int] = {}
     taken = [False] * m
@@ -276,26 +265,18 @@ def prr(oracle: QueryOracle, params: PRRParams) -> Allocation:
         for i in sorted(active, key=lambda i: (tops[i], i)):
             if taken[tops[i]]:
                 continue
-            segment_tops = _segment_tops(rankings[i], taken, params.alpha, k)
-            seg_values = [oracle.query(i, sg) for sg in segment_tops]
+            available = [g for g in rankings[i] if not taken[g]]
+            segment_tops = [available[s] for s in starts if s < len(available)]
+            top_value, *seg_values = [oracle.query(i, g) for g in segment_tops]
             active.discard(i)
-            top_value = seg_values[0]
-            if all(
-                top_value >= params.beta[level - 1] * seg_values[level]
-                for level in range(1, len(seg_values))
-            ):
+            if all(top_value >= b * v for b, v in zip(params.beta, seg_values)):
                 singled[i] = segment_tops[0]
                 taken[segment_tops[0]] = True
                 if len(singled) == n - 1:
                     break
 
-    bundles: list[set[int]] = [set() for _ in range(n)]
-    for i, g in singled.items():
-        bundles[i].add(g)
-    remaining = [g for g in range(m) if not taken[g]]
-    if remaining:
-        rr_agents = [i for i in range(n) if i not in singled]
-        rr = round_robin(oracle, participants=rr_agents, pool=remaining)
-        for i in range(n):
-            bundles[i] |= set(rr.bundles[i])
+    # m >= n > len(singled) leaves a pool; singled agents get no round-robin goods.
+    rr_agents = [i for i in range(n) if i not in singled]
+    rr = round_robin(oracle, rr_agents, [g for g in range(m) if not taken[g]])
+    bundles = [[singled[i]] if i in singled else rr.bundles[i] for i in range(n)]
     return Allocation.from_bundles(bundles)

@@ -5,7 +5,7 @@ integer envy cycle with its row-major worth table, the
 exhaustive oracles' per-call row scaling and their chunked enumeration, the
 ``Fraction``-row builds of the ``virtual_efx`` proxy and mfrr's uncovered
 instance, the match-freeze and mfrr drivers with their own round loops, the
-grouped ``prr`` round loop, the recursive matching, the root enclosure bisected in
+grouped ``prr`` round loop with its segment-top walk, the recursive matching, the root enclosure bisected in
 ``Fraction`` arithmetic with ``theorem5_params``' segment-size refine loop on top,
 the harness's per-algorithm dispatch chains and the
 query adversary over ``Fraction`` rows, with its ``Fraction`` tier values and its
@@ -493,14 +493,31 @@ def mfrr(oracle) -> Allocation:
     return Allocation(tuple(frozenset(b) for b in state.bundles), complete=True)
 
 
+def _segment_tops(
+    ranking: Sequence[int], taken: Sequence[bool], alpha: Sequence[int], k: int
+) -> list[int]:
+    """First available good of each of the k rank segments (sizes alpha + rest)."""
+    available = [g for g in ranking if not taken[g]]
+    tops = []
+    start = 0
+    for level in range(k):
+        if start >= len(available):
+            break
+        tops.append(available[start])
+        size = alpha[level] if level < k - 1 else len(available) - start
+        start += size
+    return tops
+
+
 def prr(oracle, params) -> Allocation:
     """The former ``query_enhanced.prr``: rounds over the agents grouped by
-    top good, with its guards and progress flag."""
+    top good, with its guards and progress flag, and its former segment-top
+    walk ``_segment_tops``."""
     n, m = oracle.n, oracle.m
     if m < n:
         return core.trivial_few_goods_allocation(n, m)
     rankings = oracle.rankings
-    k = params.k
+    k = len(params.alpha) + 1
     active = set(range(n))
     singled: dict[int, int] = {}
     rr_agents = set(range(n))
@@ -518,9 +535,7 @@ def prr(oracle, params) -> Allocation:
             for i in sorted(i for i in active if tops[i] == g):
                 if i not in active:
                     continue
-                segment_tops = query_enhanced._segment_tops(
-                    rankings[i], taken, params.alpha, k
-                )
+                segment_tops = _segment_tops(rankings[i], taken, params.alpha, k)
                 seg_values = [oracle.query(i, sg) for sg in segment_tops]
                 active.discard(i)
                 progressed = True

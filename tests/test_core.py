@@ -1,6 +1,7 @@
 import importlib
 import json
 import pickle
+import re
 import types
 from fractions import Fraction
 
@@ -8,11 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fraction_reference import fraction_rows
+from helpers import time_limit
 import efxlab
 from efxlab import (
     Allocation,
     CompletenessError,
     DomainError,
+    FairDivisionError,
     Instance,
     InvalidAllocation,
     OverlapError,
@@ -175,6 +178,29 @@ def test_value_round_trip():
             parse_value(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["1e4300", "1.5e-4300", "12e4299", "1e4301", "1E-4301", "2.5e+1_000_000", " 1e99999 ",
+     "1e1000000000", "1e-1000000000"],
+)
+def test_values_beyond_the_digit_limit_are_rejected_before_the_power(text):
+    data = {"n": 1, "m": 2, "values": [["1", text]]}
+    readers = (parse_value, lambda t: Instance.from_rows([[1, t]]), lambda t: Instance.from_json(data),
+               lambda t: Instance.from_rows([[1, 2]], [(t, 1)]))
+    for read in readers:
+        with time_limit(2), pytest.raises(DomainError, match=re.escape(f"not a rational value: {text!r}")):
+            read(text)
+
+
+def test_values_up_to_the_digit_limit_are_read():
+    assert parse_value("9e4299") == 9 * 10**4299
+    assert parse_value("3E-0_4299") == Fraction(3, 10**4299)
+    assert parse_value("0.001e4300") == 10**4297
+    instance = Instance.from_rows([["1e4299", "2"]])
+    assert instance.scaled_values.tolist() == [[10**4299, 2]]
+    assert Instance.loads(instance.dumps()) == instance
+
+
 def test_from_rows_without_agents_is_a_domain_error():
     with pytest.raises(DomainError):
         Instance.from_rows([])
@@ -289,6 +315,46 @@ def test_json_float_reads_as_its_decimal_but_from_rows_keeps_it_binary():
 def test_from_json_rejects_other_entries_by_parse_value(entry, message):
     with pytest.raises(DomainError, match=message):
         Instance.loads(f'{{"n": 1, "m": 2, "values": [["1", {entry}]]}}')
+
+
+# Value texts of every shape Fraction parses, with exponents far beyond the
+# digit limit, and junk; entries are JSON strings or raw JSON tokens.
+_signs = st.sampled_from(["", "+", "-"])
+_digits = st.integers(0, 10**12).map(str)
+value_text = st.one_of(
+    _digits,
+    st.builds("{}/{}".format, _digits, _digits),
+    st.builds("{}{}.{}".format, _signs, _digits, _digits),
+    st.builds("{}{}{}{}{}".format, _signs, _digits, st.sampled_from("eE"), _signs,
+              st.one_of(st.integers(0, 5000), st.integers(0, 10**7)).map(str)),
+    st.sampled_from(["1" * 5000, "0." + "1" * 5000, "1e4_3_0_0", "1e0004301", "1_0", " 2 ", "nan", "inf"]),
+    st.text(max_size=6),
+)
+json_entry = st.one_of(
+    value_text.map(json.dumps),
+    st.sampled_from(["1e1000000000", "1" * 5000, "-1", "2.5e-7", "null", "true", "[]", "{}"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.lists(json_entry, min_size=1, max_size=3), min_size=1, max_size=3),
+    st.lists(st.tuples(json_entry, json_entry), max_size=3),
+    st.integers(0, 200),
+)
+def test_instance_loads_reads_or_rejects_every_value_text_quickly(rows, meta, cut):
+    text = '{"n": %d, "m": %d, "values": [%s]%s}' % (
+        len(rows),
+        len(rows[0]),
+        ", ".join("[" + ", ".join(row) + "]" for row in rows),
+        ', "bivalued": [%s]' % ", ".join('{"h": %s, "l": %s}' % e for e in meta) if meta else "",
+    )
+    for source in (text, text[:cut]):
+        with time_limit(2):
+            try:
+                assert isinstance(Instance.loads(source), Instance)
+            except FairDivisionError:
+                pass
 
 
 def test_instance_json_round_trip():

@@ -43,7 +43,7 @@ def random_params(rng: random.Random, m: int) -> PRRParams:
     k = rng.randint(1, 4)
     alpha = tuple(rng.randint(1, max(1, m // 3)) for _ in range(k - 1))
     beta = tuple(Fraction(rng.randint(1, 40), rng.randint(1, 8)) for _ in range(k - 1))
-    return PRRParams(k=k, alpha=alpha, beta=beta)
+    return PRRParams(alpha=alpha, beta=beta)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -55,7 +55,7 @@ def test_prr_flat_loop_matches_grouped_rounds(seed):
         params = random_params(rng, instance.m)
         new = outcome(prr, instance, params)
         assert new == outcome(ref.prr, instance, params)
-        ks.add(params.k)
+        ks.add(len(params.alpha) + 1)
         if not isinstance(new[0], type):
             singles += sum(len(b) == 1 for b in new[0].bundles)
     assert ks == {1, 2, 3, 4} and singles

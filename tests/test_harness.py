@@ -328,9 +328,15 @@ def test_cli_run_prr_with_oversized_segments_exits_2_quickly(tmp_path, capsys):
     path = str(tmp_path / "inst.json")
     main(["gen", "--n", "10", "--m", "1000", "--seed", "1", "--out", path])
     capsys.readouterr()
-    with time_limit(5):
-        assert main(["run", "--instance", path, "--alg", "prr", "--k", "500"]) == EXIT_VALIDATION
-    assert "segment sizes must leave goods for the final segment" in capsys.readouterr().err
+    for args, message in (
+        (["--k", "500"], "segment sizes must leave goods for the final segment"),
+        (["--k", "100000"], "segment sizes must leave goods for the final segment"),
+        (["--k", "100000", "--lambda", "1/2"], "segment sizes must leave goods for the final segment"),
+        (["--lambda", "1e1000000000"], "not a rational value: '1e1000000000'"),
+    ):
+        with time_limit(2):
+            assert main(["run", "--instance", path, "--alg", "prr", *args]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,12 @@ from efxlab import (
     virtual_efx,
     virtual_efx_bound,
 )
-from efxlab.query_enhanced import bucket_thresholds, bucketize, virtual_instance
+from efxlab.query_enhanced import (
+    bucket_thresholds,
+    bucketize,
+    check_segment_room,
+    virtual_instance,
+)
 from efxlab.enclosures import pow_enclosure, sqrt_enclosure
 from efxlab.harness import default_lambda
 from helpers import time_limit
@@ -202,10 +207,32 @@ def test_theorem5_bound_rejects_lambda_below_one(lam):
 
 
 def test_theorem5_rejects_oversized_segments_before_the_thresholds():
-    # At k = 500 the sizes pass m = 1000 within the first levels.
-    n, m, k = 10, 1000, 500
-    with time_limit(5), pytest.raises(ParamDomainError, match="final segment"):
-        theorem5_params(n, m, k, default_lambda(n, m, k))
+    # At k = 500 the sizes pass m = 1000 within the first levels; from
+    # k = 20 on the O(1) room check rejects before any power is taken.
+    n, m = 10, 1000
+    for k, lam in ((500, default_lambda(n, m, 500)), (10**5, Fraction(3, 2)), (10**9, 2)):
+        with time_limit(2), pytest.raises(ParamDomainError, match="final segment"):
+            theorem5_params(n, m, k, lam)
+
+
+def test_segment_room_check_rejects_only_oversized_segments():
+    """Every k the O(1) check rejects has theorem 5 sizes summing to at least
+    m already at lam = 1, whose sizes are the least of any admissible lam:
+    the least a with a**(2k-1) >= m**(2l-1), found from the last level down."""
+    for m in range(1, 65):
+        rejected = 0
+        for k in range(1, 4 * m.bit_length() + 30):
+            try:
+                check_segment_room(m, k)
+            except ParamDomainError:
+                rejected += 1
+                q, total = 2 * k - 1, 0
+                for level in range(k - 1, 0, -1):
+                    total += next(a for a in range(1, m + 1) if a**q >= m ** (2 * level - 1))
+                    if total >= m:
+                        break
+                assert total >= m, (m, k)
+        assert rejected >= 30
 
 
 @settings(max_examples=150, deadline=None)
@@ -250,11 +277,11 @@ def test_bounds_reject_k_or_m_below_one(bound, args):
 
 def test_prr_params_validation():
     with pytest.raises(ParamDomainError):
-        PRRParams(k=2, alpha=(), beta=())
+        PRRParams(alpha=(1,), beta=())
     with pytest.raises(ParamDomainError):
-        PRRParams(k=2, alpha=(0,), beta=(Fraction(1),))
+        PRRParams(alpha=(0,), beta=(Fraction(1),))
     with pytest.raises(ParamDomainError):
-        PRRParams(k=2, alpha=(1,), beta=(Fraction(0),))
+        PRRParams(alpha=(1,), beta=(Fraction(0),))
 
 
 # ---- prr --------------------------------------------------------------
@@ -263,7 +290,7 @@ def test_prr_params_validation():
 def test_prr_worked_example():
     rows = [[9, 1, 1, 1, 1, 1, 1, 1]] * 2
     o = oracle_for(rows, budget=2)
-    a = prr(o, PRRParams(k=2, alpha=(1,), beta=(Fraction(4),)))
+    a = prr(o, PRRParams(alpha=(1,), beta=(Fraction(4),)))
     assert sorted(a.bundles[0]) == [0]
     assert sorted(a.bundles[1]) == [1, 2, 3, 4, 5, 6, 7]
     inst = o.hidden_instance()
@@ -273,7 +300,7 @@ def test_prr_worked_example():
 def test_prr_all_fail_is_round_robin():
     rows = [[2, 2, 2, 2, 2, 2], [2, 2, 2, 2, 2, 2]]
     o1 = oracle_for(rows)
-    a = prr(o1, PRRParams(k=2, alpha=(1,), beta=(Fraction(3),)))
+    a = prr(o1, PRRParams(alpha=(1,), beta=(Fraction(3),)))
     b = round_robin(oracle_for(rows))
     assert a.bundles == b.bundles
 
@@ -316,5 +343,5 @@ def test_prr_theorem5_bound_random():
 
 def test_prr_m_less_than_n_trivial():
     inst = Instance.from_rows([[1], [2], [3]])
-    a = prr(QueryOracle(inst), PRRParams(k=1, alpha=(), beta=()))
+    a = prr(QueryOracle(inst), PRRParams(alpha=(), beta=()))
     assert [sorted(b) for b in a.bundles] == [[0], [], []]
