@@ -58,12 +58,20 @@ def _fraction(v: object) -> Fraction:
     return value
 
 
+def _shown(x: object) -> str:
+    """``repr(x)``, or words for a number too long to print."""
+    try:
+        return repr(x)
+    except ValueError:  # an int or Fraction past the digit limit
+        return "a number of over 4,300 digits"
+
+
 def parse_value(text: str | int) -> Fraction:
-    """Parse "p/q", decimal, or integer text into an exact rational."""
+    """Parse "p/q", decimal, or integer text, or an int, into an exact rational."""
     try:
         v = _fraction(str(text))
     except (ValueError, ZeroDivisionError):
-        raise DomainError(f"not a rational value: {text!r}") from None
+        raise DomainError(f"not a rational value: {_shown(text)}") from None
     if v < 0:
         raise DomainError(f"negative value not allowed: {text}")
     return v
@@ -130,10 +138,21 @@ def _format_ratio(x: int, scale: int) -> str:
     return f"{x // g}/{scale // g}"
 
 
-def _int_matrix(rows: list[list[int]], n: int, m: int) -> np.ndarray:
-    """Rows of Python ints as a read-only non-negative n x m matrix: int64
-    when cross-multiplied bundle sums provably fit, exact Python integers
-    (object dtype) otherwise."""
+def _matrix_dtype(top: int, m: int) -> type:
+    """The dtype of a non-negative matrix of m columns whose largest entry is
+    ``top``: int64 when cross-multiplied bundle sums provably fit, exact
+    Python integers (object) otherwise. An entry of over 4,300 digits is a
+    :class:`DomainError`, since no output could print it."""
+    if top >= _DIGIT_BOUND:
+        raise DomainError("scaled values must be below 10**4300")
+    return np.int64 if (top * m) ** 2 < 2**62 else object
+
+
+def _int_matrix(rows: list[list[int]], shape: Optional[tuple[int, int]] = None) -> np.ndarray:
+    """Rows of Python ints as a non-negative n x m matrix of
+    :func:`_matrix_dtype`; ``shape`` is the (n, m) they must have, by default
+    that of the first row."""
+    n, m = shape or (len(rows), len(rows[0]) if rows else 0)
     if n < 1 or m < 1:
         raise DomainError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
     if len(rows) != n or any(len(row) != m for row in rows):
@@ -144,11 +163,7 @@ def _int_matrix(rows: list[list[int]], n: int, m: int) -> np.ndarray:
         matrix = np.array(rows, dtype=object)
     if matrix.min() < 0:
         raise DomainError("values must be non-negative")
-    top = int(matrix.max())
-    if top and (top * m) ** 2 >= 2**62:
-        matrix = matrix.astype(object, copy=False)
-    matrix.flags.writeable = False
-    return matrix
+    return matrix.astype(_matrix_dtype(int(matrix.max()), m), copy=False)
 
 
 class Instance:
@@ -187,24 +202,27 @@ class Instance:
             raise DomainError("need one scale per row")
         for i, (scale, row) in enumerate(zip(scales, rows)):
             if type(scale) is not int or scale < 1:
-                raise DomainError(f"row {i}: scale {scale!r} is not a positive integer")
+                raise DomainError(f"row {i}: scale {_shown(scale)} is not a positive integer")
+            if scale >= _DIGIT_BOUND:  # before the gcd message prints it
+                raise DomainError("scales must be below 10**4300")
             if not set(map(type, row)) <= {int}:
                 raise DomainError(f"row {i}: scaled values must be Python ints")
             if math.gcd(scale, *row) != 1:
                 raise DomainError(f"row {i} is not in lowest terms with its scale {scale}")
-        return Instance._store(rows, tuple(scales), bivalued_meta)
+        return Instance._store(_int_matrix(rows), tuple(scales), bivalued_meta)
 
     @staticmethod
     def _store(
-        rows: list[list[int]],
+        matrix: np.ndarray,
         scales: tuple[int, ...],
         bivalued_meta: Optional[Sequence[tuple[Fraction, Fraction]]],
-        shape: Optional[tuple[int, int]] = None,
     ) -> "Instance":
-        """The instance of rows already in the integer form; ``shape`` is the
-        (n, m) they must have, by default that of the first row."""
-        n, m = shape or (len(rows), len(rows[0]) if rows else 0)
-        matrix = _int_matrix(rows, n, m)
+        """The instance of a matrix already in the integer form, with the
+        dtype of :func:`_matrix_dtype`; the matrix becomes read-only."""
+        n, m = matrix.shape
+        if max(scales) >= _DIGIT_BOUND:
+            raise DomainError("scales must be below 10**4300")
+        matrix.flags.writeable = False
         meta = None
         if bivalued_meta is not None:
             try:
@@ -213,6 +231,8 @@ class Instance:
                 raise DomainError("bivalued_meta must hold (h, l) pairs") from None
             if len(meta) != n:
                 raise DomainError("bivalued_meta must have one (h, l) pair per agent")
+            if max(max(v.numerator, v.denominator) for pair in meta for v in pair) >= _DIGIT_BOUND:
+                raise DomainError("bivalued h and l must be below 10**4300 in lowest terms")
             for i, (h, low) in enumerate(meta):
                 if not h > low >= 0:
                     raise DomainError(f"agent {i}: need h > l >= 0")
@@ -271,7 +291,7 @@ class Instance:
                 _scale_row([v.numerator for v in r], [v.denominator for v in r]) for r in values
             ]
             rows, scales = [r for r, _ in scaled], tuple(s for _, s in scaled)
-        return Instance._store(rows, scales, bivalued_meta)
+        return Instance._store(_int_matrix(rows), scales, bivalued_meta)
 
     def to_json(self) -> dict:
         out: dict = {
@@ -312,7 +332,8 @@ class Instance:
         if not all(type(x) is int for x in (n, m)):
             raise DomainError(f"instance JSON needs integer n and m, got n={n!r}, m={m!r}")
         # Stored as from_scaled would, but checked against the JSON's n and m.
-        return Instance._store([r for r, _ in scaled], tuple(s for _, s in scaled), meta, (n, m))
+        matrix = _int_matrix([r for r, _ in scaled], (n, m))
+        return Instance._store(matrix, tuple(s for _, s in scaled), meta)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2)
@@ -379,12 +400,15 @@ def build_ranking(instance: Instance) -> tuple[tuple[int, ...], ...]:
     """Each agent's goods by value descending, ties by ascending index: one
     tuple of good indices per agent, best first.
 
-    The rankings are built once per instance and then shared.
+    The rankings are built once per instance and then shared. They live as
+    long as the instance, so every tuple holds the same int object for a
+    good, one per good rather than one per entry.
     """
     rankings = instance._ranking
     if rankings is None:
         order = np.argsort(-instance.scaled_values, axis=1, kind="stable")
-        rankings = tuple(map(tuple, order.tolist()))
+        goods = np.arange(instance.m, dtype=object)
+        rankings = tuple(map(tuple, goods[order].tolist()))
         object.__setattr__(instance, "_ranking", rankings)
     return rankings
 

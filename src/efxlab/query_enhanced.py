@@ -8,8 +8,10 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .core import (
     Allocation,
@@ -17,6 +19,7 @@ from .core import (
     FairDivisionError,
     Instance,
     InvalidAllocation,
+    _matrix_dtype,
     fairness_report,
     trivial_few_goods_allocation,
 )
@@ -110,12 +113,13 @@ def virtual_instance(
 
     A row takes at most n-1+k values besides 0, as runs of equal values. It
     is put on the least common multiple of those values' denominators, and
-    every value but 0 occurs in it, so the row is in lowest terms; it is
-    written one run at a time over a row of zeros.
+    every value but 0 occurs in it, so the row is in lowest terms. The dtype
+    follows from the largest run value, and every row's runs are scattered
+    along its ranking into one matrix of zeros.
     """
-    rankings, m = oracle.rankings, oracle.m
-    scaled, scales = [], []
-    for ranking, vv in zip(rankings, virtuals, strict=True):
+    rankings, n, m = oracle.rankings, oracle.n, oracle.m
+    xs, counts, lengths, scales = [], [], [], []
+    for vv in virtuals:
         anchor = vv.top_values[-1] if vv.top_values else Fraction(0)
         runs = [(v, 1) for v in vv.top_values]
         start = len(vv.top_values)
@@ -124,16 +128,16 @@ def virtual_instance(
                 runs.append((anchor * vv.thresholds[level], bound + 1 - start))
                 start = bound + 1
         scale = math.lcm(*(v.denominator for v, _ in runs))
-        row = [0] * m
-        pos = 0
-        for v, count in runs:
-            x = v.numerator * (scale // v.denominator)
-            for g in ranking[pos : pos + count]:
-                row[g] = x
-            pos += count
-        scaled.append(row)
+        xs += [v.numerator * (scale // v.denominator) for v, _ in runs]
+        counts += [count for _, count in runs]
+        lengths.append(start)
         scales.append(scale)
-    return Instance.from_scaled(scaled, scales)
+    dtype = _matrix_dtype(max(xs, default=0), m)
+    ranked = chain.from_iterable(r[:length] for r, length in zip(rankings, lengths, strict=True))
+    goods = np.fromiter(ranked, np.intp, sum(lengths))
+    matrix = np.zeros((n, m), dtype)
+    matrix[np.repeat(np.arange(n), lengths), goods] = np.repeat(np.array(xs, dtype), counts)
+    return Instance._store(matrix, tuple(scales), None)
 
 
 def virtual_efx(

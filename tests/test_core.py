@@ -2,6 +2,7 @@ import importlib
 import json
 import pickle
 import re
+import tracemalloc
 import types
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from efxlab import (
     validate,
 )
 from efxlab.core import trivial_few_goods_allocation
+from efxlab.harness import generate_instance
 
 
 def inst(rows, meta=None):
@@ -52,6 +54,33 @@ def test_ranking_built_once_per_instance():
     assert build_ranking(instance) is build_ranking(instance)
     # An equal instance built apart ranks the same goods the same way.
     assert build_ranking(inst([[1, 3, 2], [2, 2, 2]])) == build_ranking(instance)
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        generate_instance("uniform", 20, 2000, seed=1),
+        inst([[10**12 + g % 7 for g in range(300)]] * 2),
+    ],
+    ids=["int64", "object"],
+)
+def test_rankings_share_one_int_per_good(instance):
+    rankings = build_ranking(instance)
+    goods = {g: g for g in rankings[0]}
+    assert all(g is goods[g] for ranking in rankings for g in ranking)
+
+
+def test_ranking_cache_is_small():
+    # One int object per good and n tuples of pointers: about 0.36 MB here,
+    # against 1.37 MB with a fresh int per (agent, good) entry.
+    instance = generate_instance("uniform", 20, 2000, seed=1)
+    tracemalloc.start()
+    try:
+        build_ranking(instance)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 0.6 * 2**20
 
 
 # ---- EFX / EF1 metric -------------------------------------------------
@@ -198,7 +227,42 @@ def test_values_up_to_the_digit_limit_are_read():
     assert parse_value("0.001e4300") == 10**4297
     instance = Instance.from_rows([["1e4299", "2"]])
     assert instance.scaled_values.tolist() == [[10**4299, 2]]
-    assert Instance.loads(instance.dumps()) == instance
+    top = 10**4300 - 1  # the largest Python int an entry or scale may be
+    for instance in (
+        instance, Instance.from_rows([[top, 1]]), Instance.from_scaled([[1, 2]], [top])
+    ):
+        assert Instance.loads(instance.dumps()) == instance
+
+
+def test_python_ints_beyond_the_digit_limit_are_not_printed():
+    for value in (10**5000, -(10**5000), Fraction(1, 10**5000)):
+        with pytest.raises(DomainError, match="^not a rational value: a number of over 4,300 digits"):
+            parse_value(value)
+    with pytest.raises(DomainError, match="^row 0: scale a number of over 4,300 digits is not"):
+        Instance.from_scaled([[1]], [-(10**5000)])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Instance.from_rows([[10**5000, 1]]),
+        lambda: Instance.from_rows([[1, Fraction(10**4300, 3)]]),
+        lambda: Instance.from_rows([[Fraction(1, 10**5000)]]),
+        lambda: Instance.from_rows([[1, Fraction(1, 10**4300)]]),
+        lambda: Instance.from_scaled([[10**5000, 1]], [1]),
+        lambda: Instance.from_scaled([[10**4300, 1]], [1]),
+        lambda: Instance.from_scaled([[1, 2]], [10**4300 + 1]),
+        lambda: Instance.from_scaled([[2, 2]], [2 * 10**4300]),  # not in lowest terms either
+        lambda: Instance.from_rows([[1, 1]], [(10**5000, 1)]),
+        lambda: Instance.from_scaled([[2, 2]], [1], [(2, Fraction(1, 10**4300))]),
+    ],
+    ids=["int-entry", "fraction-entry", "fraction-scale", "boundary-scale",
+         "scaled-entry", "boundary-entry", "scaled-scale", "scaled-scale-gcd", "unused-h",
+         "unused-l"],
+)
+def test_values_beyond_the_digit_limit_are_rejected_on_every_path(build):
+    with pytest.raises(DomainError, match="must be below 10\\*\\*4300"):
+        build()
 
 
 def test_from_rows_without_agents_is_a_domain_error():

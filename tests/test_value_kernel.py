@@ -17,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fraction_reference as ref
 from efxlab import (
@@ -122,8 +122,14 @@ def test_query_answers_equal_the_rationals(bivalued_meta, data):
     assert [v for _, _, v in oracle.transcript()] == [v for row in rows for v in row]
 
 
+# At m = 1000, k = 1 puts the proxy on the object path and k = 2 on int64.
+PROXY_10X1000 = harness.generate_instance("uniform", 10, 1000, seed=1)
+
+
 @settings(max_examples=200, deadline=None)
 @given(instances(m_at_least_n=True), st.integers(1, 3))
+@example(PROXY_10X1000, 1)
+@example(PROXY_10X1000, 2)
 def test_virtual_instance_matches_fraction_rows(instance, k):
     oracle = QueryOracle(instance)
     virtuals = [bucketize(oracle, i, k) for i in range(instance.n)]
@@ -344,7 +350,20 @@ def test_both_dtype_paths_are_exercised():
     large = Instance.from_rows([[BIG, Fraction(1, 3)], [0, 0]])
     assert small.scaled_values.dtype == np.int64
     assert large.scaled_values.dtype == object
-    for instance in (small, large):
+    # Largest entries on both sides of the int8 and int16 ranges, and beyond:
+    # a sort narrowed to the smallest width that holds them must not change
+    # a ranking (255 and 65535 would wrap in a width one size too small).
+    edges = [
+        Instance.from_rows([[top, 0, top, 1, top - 1, 1], [3, top, 3, 0, 0, top]])
+        for top in (127, 128, 255, 32767, 32768, 65535, 2**40)
+    ]
+    assert [instance.scaled_values.dtype for instance in edges] == [np.int64] * 6 + [object]
+    plain = [
+        Instance.from_rows([[5] * 6, [0] * 6]),  # all-equal rows
+        Instance.from_rows([[2, 5, 5, 0, 5]]),  # n = 1
+        Instance.from_rows([[4], [0], [4]]),  # m = 1
+    ]
+    for instance in [small, large, *edges, *plain]:
         check_instance(instance)
 
 
