@@ -66,7 +66,7 @@ def ordinal_adversary_pick(
         raise DomainError("adversary requires a complete allocation")
     top = set(range(family.n - 1))
     for bundle in allocation.bundles:
-        if len(bundle) >= 2 and bundle & top:
+        if len(bundle) >= 2 and not top.isdisjoint(bundle):
             return family.case1, Fraction(0)
     return family.case2, Fraction(1, family.m - family.n)
 
@@ -163,7 +163,7 @@ def query_adversary_complete(
     n = family.n
     top = set(range(n - 1))
     owner = {g: j for j, b in enumerate(allocation.bundles) for g in b}
-    unserved = next(i for i in range(n) if not (allocation.bundles[i] & top))
+    unserved = next(i for i in range(n) if top.isdisjoint(allocation.bundles[i]))
 
     for g in sorted(top):
         holder = owner[g]

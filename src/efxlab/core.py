@@ -349,17 +349,44 @@ class Instance:
 
 @dataclass(frozen=True)
 class Allocation:
-    """Disjoint bundles of good indices, one per agent."""
+    """Bundles of good indices, one per agent, each an ascending tuple of
+    distinct goods.
 
-    bundles: tuple[frozenset[int], ...]
+    Any collection of goods given for a bundle is stored in that one form,
+    so equal allocations compare and hash equal; a good repeated within a
+    bundle counts once. Run records keep their allocations, and a tuple
+    costs 8 bytes a good where a set's hash table costs 35-70. A good that
+    is not an int (a bool neither) is an :class:`InvalidAllocation`; whether
+    the goods are the instance's, each in one bundle, is :func:`validate`'s
+    check.
+    """
+
+    bundles: tuple[tuple[int, ...], ...]
     complete: bool
+
+    def __post_init__(self) -> None:
+        try:
+            bundles = tuple(map(tuple, self.bundles))
+        except TypeError:
+            raise InvalidAllocation("bundles must be collections of goods") from None
+        if not set(map(type, itertools.chain.from_iterable(bundles))) <= {int}:
+            bad = next(g for bundle in bundles for g in bundle if type(g) is not int)
+            raise InvalidAllocation(f"good {_shown(bad)} is not an integer")
+        # Sorting first keeps the ascending runs a bundle picked by value
+        # usually has; sorting a set would scramble them by hash.
+        canonical = []
+        for bundle in map(sorted, bundles):
+            if len(set(bundle)) < len(bundle):
+                bundle = sorted(set(bundle))
+            canonical.append(tuple(bundle))
+        object.__setattr__(self, "bundles", tuple(canonical))
 
     @staticmethod
     def from_bundles(bundles: Sequence[Sequence[int]], complete: bool = True) -> "Allocation":
-        return Allocation(tuple(frozenset(b) for b in bundles), complete)
+        return Allocation(bundles, complete)
 
     def to_json(self) -> dict:
-        return {"bundles": [sorted(b) for b in self.bundles]}
+        return {"bundles": list(map(list, self.bundles))}
 
     @staticmethod
     def from_json(data: dict, m: int) -> "Allocation":
@@ -372,10 +399,10 @@ class Allocation:
         seen: set[int] = set()
         for bundle in raw:
             for g in bundle:
-                if isinstance(g, bool) or not isinstance(g, int):
-                    raise InvalidAllocation(f"good {g!r} is not an integer")
+                if type(g) is not int:
+                    raise InvalidAllocation(f"good {_shown(g)} is not an integer")
                 if g in seen:
-                    raise OverlapError(f"good {g} appears more than once")
+                    raise OverlapError(f"good {_shown(g)} appears more than once")
                 seen.add(g)
         return Allocation.from_bundles(raw, len(seen) == m)
 
@@ -432,7 +459,7 @@ def validate(instance: Instance, allocation: Allocation) -> None:
     if unknown.any():
         g = goods[unknown].min()
         i = np.repeat(np.arange(n), sizes)[unknown & (goods == g)][0]
-        raise InvalidAllocation(f"bundle {i} references unknown good {g}")
+        raise InvalidAllocation(f"bundle {i} references unknown good {_shown(int(g))}")
     repeated = np.flatnonzero(np.bincount(goods.astype(np.int64, copy=False), minlength=m) > 1)
     if repeated.size:
         raise OverlapError(f"good {repeated[0]} appears in more than one bundle")
@@ -499,7 +526,7 @@ def fairness_report(instance: Instance, allocation: Allocation) -> FairnessRepor
         if pair is None:
             return None
         i, c = pair
-        goods = np.array(sorted(bundles[filled[c]]))
+        goods = np.array(bundles[filled[c]])
         return i, filled[c], int(goods[(values[i, goods] == extreme[i][c]).argmax()])
 
     return FairnessReport(

@@ -98,10 +98,10 @@ def _envy_blocks(instance: Instance) -> Iterator[tuple[int, np.ndarray, np.ndarr
 
 
 def _allocation_at(index: int, n: int, m: int) -> Allocation:
-    bundles: list[set[int]] = [set() for _ in range(n)]
+    bundles: list[list[int]] = [[] for _ in range(n)]
     for g in range(m - 1, -1, -1):
         index, owner = divmod(index, n)
-        bundles[owner].add(g)
+        bundles[owner].append(g)
     return Allocation.from_bundles(bundles)
 
 
@@ -250,4 +250,4 @@ def envy_cycle_heuristic(instance: Instance) -> Allocation:
         for i in rivals:
             envy[i].add(target)
 
-    return Allocation(tuple(map(frozenset, bundles)), complete=True)
+    return Allocation.from_bundles(bundles)

@@ -38,7 +38,7 @@ def round_robin(
     for g in pool if pool is not None else range(m):
         taken[g] = False
     remaining = pool_size = taken.count(False)
-    bundles: list[set[int]] = [set() for _ in range(n)]
+    bundles: list[list[int]] = [[] for _ in range(n)]
     cursor = [0] * n
     while remaining > 0:
         for i in agents:
@@ -47,7 +47,7 @@ def round_robin(
             g = _pick_top(rankings[i], taken, cursor, i)
             taken[g] = True
             remaining -= 1
-            bundles[i].add(g)
+            bundles[i].append(g)
     return Allocation.from_bundles(bundles, complete=pool_size == m)
 
 
@@ -56,7 +56,7 @@ def rrla(oracle: QueryOracle) -> Allocation:
     rankings = oracle.rankings
     n, m = oracle.n, oracle.m
     taken = [False] * m
-    bundles: list[set[int]] = [set() for _ in range(n)]
+    bundles: list[list[int]] = [[] for _ in range(n)]
     cursor = [0] * n
     remaining = m
     for i in range(n - 1):
@@ -65,6 +65,6 @@ def rrla(oracle: QueryOracle) -> Allocation:
         g = _pick_top(rankings[i], taken, cursor, i)
         taken[g] = True
         remaining -= 1
-        bundles[i].add(g)
-    bundles[n - 1] = {g for g in range(m) if not taken[g]}
+        bundles[i].append(g)
+    bundles[n - 1] = [g for g in range(m) if not taken[g]]
     return Allocation.from_bundles(bundles)

@@ -882,7 +882,7 @@ def query_adversary_complete(family, transcript, allocation: Allocation):
     n = family.n
     top = set(range(n - 1))
     owner = {g: j for j, b in enumerate(allocation.bundles) for g in b}
-    unserved = next(i for i in range(n) if not (allocation.bundles[i] & top))
+    unserved = next(i for i in range(n) if top.isdisjoint(allocation.bundles[i]))
 
     for g in sorted(top):
         holder = owner[g]

@@ -1,6 +1,7 @@
 """Helpers shared by the test modules."""
 
 import signal
+import tracemalloc
 from contextlib import contextmanager
 
 
@@ -18,3 +19,15 @@ def time_limit(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def retained_bytes(fn) -> int:
+    """Bytes that ``fn()`` allocates and are still held once it returns,
+    with its result, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        result = fn()  # noqa: F841 -- held so that what it keeps alive is counted
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return retained

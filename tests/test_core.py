@@ -2,15 +2,15 @@ import importlib
 import json
 import pickle
 import re
-import tracemalloc
 import types
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fraction_reference import fraction_rows
-from helpers import time_limit
+from helpers import retained_bytes, time_limit
 import efxlab
 from efxlab import (
     Allocation,
@@ -20,10 +20,12 @@ from efxlab import (
     Instance,
     InvalidAllocation,
     OverlapError,
+    QueryOracle,
     build_ranking,
     fairness_report,
     format_value,
     parse_value,
+    round_robin,
     validate,
 )
 from efxlab.core import trivial_few_goods_allocation
@@ -74,13 +76,14 @@ def test_ranking_cache_is_small():
     # One int object per good and n tuples of pointers: about 0.36 MB here,
     # against 1.37 MB with a fresh int per (agent, good) entry.
     instance = generate_instance("uniform", 20, 2000, seed=1)
-    tracemalloc.start()
-    try:
-        build_ranking(instance)
-        retained, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert retained < 0.6 * 2**20
+    assert retained_bytes(lambda: build_ranking(instance)) < 0.6 * 2**20
+
+
+def test_allocation_is_small():
+    # Sorted tuples of the ranking's ints: about 17 KB here, against 85 KB
+    # with a frozenset per bundle.
+    oracle = QueryOracle(generate_instance("uniform", 20, 2000, seed=1))
+    assert retained_bytes(lambda: round_robin(oracle)) < 40_000
 
 
 # ---- EFX / EF1 metric -------------------------------------------------
@@ -177,6 +180,47 @@ def test_validate_reports_the_lowest_unknown_good(bundles, message):
     allocation = Allocation.from_bundles(bundles, complete=False)
     with pytest.raises(InvalidAllocation, match=f"^{message}$"):
         validate(inst([[1, 1], [1, 1]]), allocation)
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [(lambda: Allocation.from_json({"bundles": [[0, 10**5000], [1]]}, m=2),
+      "bundle 0 references unknown good a number of over 4,300 digits"),
+     (lambda: Allocation.from_bundles([[-(10**5000), 0], [1]]),
+      "bundle 0 references unknown good a number of over 4,300 digits"),
+     (lambda: Allocation.from_bundles([[0, "x"], [1]]), "good 'x' is not an integer"),
+     (lambda: Allocation.from_bundles([[0, 1.0], [1]]), "good 1.0 is not an integer"),
+     (lambda: Allocation.from_bundles([[0], [True]]), "good True is not an integer"),
+     (lambda: Allocation((0, 1), True), "bundles must be collections of goods")],
+    ids=["huge-good", "huge-negative-good", "text-good", "float-good", "bool-good", "int-bundle"],
+)
+def test_bad_goods_are_invalid_allocations(build, message):
+    with pytest.raises(InvalidAllocation, match=f"^{re.escape(message)}$"):
+        validate(inst([[1, 1], [1, 1]]), build())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(-3, 9), max_size=6), min_size=1, max_size=4), st.booleans())
+def test_allocation_has_one_canonical_form(bundles, complete):
+    canonical = tuple(tuple(sorted(set(b))) for b in bundles)
+    forms = (
+        bundles,
+        [set(b) for b in bundles],
+        tuple(map(frozenset, bundles)),
+        [b[::-1] + b for b in bundles],  # unsorted, every good twice
+        canonical,
+    )
+    for form in forms:
+        for allocation in (Allocation(form, complete), Allocation.from_bundles(form, complete)):
+            assert allocation.bundles == canonical
+            assert type(allocation.bundles) is tuple
+            assert all(type(b) is tuple for b in allocation.bundles)
+            assert allocation == Allocation(canonical, complete)
+            assert hash(allocation) == hash(Allocation(canonical, complete))
+    goods = list(chain(*bundles))
+    if len(set(goods)) == len(goods):  # JSON allows no good twice
+        m = len(goods) if complete else len(goods) + 1
+        assert Allocation.from_json({"bundles": bundles}, m) == Allocation(canonical, complete)
 
 
 def test_instance_invariants():
@@ -430,6 +474,45 @@ def test_allocation_json_round_trip():
     a = Allocation.from_bundles([[0, 2], [1]])
     data = json.loads(json.dumps(a.to_json()))
     assert Allocation.from_json(data, m=3) == a
+
+
+# JSON-like values: ints of every size (bools too), floats, text, None,
+# and nested lists and objects of them.
+_json_like = st.recursive(
+    st.one_of(
+        st.integers(-3, 12),
+        st.integers(),
+        st.sampled_from([4300, 5000]).map(lambda d: 10**d),
+        st.sampled_from([4300, 5000]).map(lambda d: -(10**d)),
+        st.sampled_from([2**63, -(2**63) - 1, True, False, None]),
+        st.floats(),
+        st.text(max_size=3),
+    ),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.builds(lambda b: {"bundles": b}, st.lists(st.lists(_json_like, max_size=4), max_size=4)),
+        st.builds(lambda b: {"bundles": [b, b]}, st.lists(_json_like, max_size=3)),  # overlaps
+        st.builds(lambda b: {"bundles": b}, _json_like),
+        _json_like,
+    ),
+    st.one_of(st.integers(0, 12), _json_like),
+)
+def test_allocation_from_json_reads_or_rejects_every_value_quickly(data, m):
+    with time_limit(2):
+        try:
+            allocation = Allocation.from_json(data, m)
+        except FairDivisionError:
+            return
+        for bundle in allocation.bundles:
+            assert type(bundle) is tuple and all(type(g) is int for g in bundle)
+            assert list(bundle) == sorted(set(bundle))
+        assert Allocation.from_json(allocation.to_json(), m) == allocation
 
 
 def test_allocation_json_completeness_comes_from_m():
