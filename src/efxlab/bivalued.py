@@ -44,7 +44,8 @@ class MatchFreezeState:
     each one's high-valued goods in ascending order and ``duration`` how many
     rounds a high good she lost freezes its taker. The pool only shrinks, so
     goods taken in earlier rounds are dropped from the front of a list
-    lazily, and the matching skips the rest.
+    lazily, and the matching skips the rest. ``bundles`` lists each agent's
+    goods in the order she took them.
     """
 
     priority: list[int]
@@ -52,7 +53,7 @@ class MatchFreezeState:
     duration: dict[int, int]
     freeze_counters: list[int]
     pool: set[int]
-    bundles: list[set[int]]
+    bundles: list[list[int]]
     frozen_events: list[int] = field(default_factory=list)
 
     @classmethod
@@ -76,7 +77,7 @@ class MatchFreezeState:
             duration={i: math.ceil(h / low) - 1 for i, (h, low) in meta.items()},
             freeze_counters=[0] * n,
             pool=set(range(m)),
-            bundles=[set() for _ in range(n)],
+            bundles=[[] for _ in range(n)],
         )
 
 
@@ -155,7 +156,7 @@ def match_freeze_round(state: MatchFreezeState) -> None:
         del goods[:taken]
     matching = prioritized_max_matching(priority, state.high_goods, state.pool)
     for i, g in matching.items():
-        state.bundles[i].add(g)
+        state.bundles[i].append(g)
         state.pool.discard(g)
     matched_this_round = list(matching.items())
     # Unmatched agents pick lowest-index goods, the agent with the smallest
@@ -168,7 +169,7 @@ def match_freeze_round(state: MatchFreezeState) -> None:
         if not state.pool:
             break
         g = min(state.pool)
-        state.bundles[i].add(g)
+        state.bundles[i].append(g)
         state.pool.discard(g)
         duration = state.duration[i]
         # Goods taken this round are still in the sorted high lists.
@@ -188,21 +189,18 @@ def _match_freeze_run(
 ) -> Allocation:
     """Allocate every good in rounds: one :func:`match_freeze_round` for the
     state's participants, then one pick of her top remaining good (along
-    ``rankings``) for each ``flat`` agent in turn."""
-    cursor = [0] * len(state.bundles)
+    ``rankings``) for each ``flat`` agent in turn, her ranking walked once,
+    lazily, past the goods gone from the pool."""
+    walks = [(filter(state.pool.__contains__, rankings[i]), i) for i in flat]
     while state.pool:
         if state.priority:
             match_freeze_round(state)
-        for i in flat:
+        for walk, i in walks:
             if not state.pool:
                 break
-            pos = cursor[i]
-            ranking = rankings[i]
-            while ranking[pos] not in state.pool:
-                pos += 1
-            cursor[i] = pos + 1
-            state.bundles[i].add(ranking[pos])
-            state.pool.discard(ranking[pos])
+            g = next(walk)
+            state.bundles[i].append(g)
+            state.pool.discard(g)
     return Allocation.from_bundles(state.bundles)
 
 

@@ -122,10 +122,19 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reader_gone() -> None:
+    """Point stdout at the null device once its reader has closed the pipe,
+    so the interpreter's last flush of what is buffered stays silent."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit(data: dict, path: str = "-") -> None:
     text = json.dumps(data, indent=2)
     if path == "-":
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            _reader_gone()
     else:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -161,7 +170,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             config = _read_json(args.config)
             if args.out == "-":
-                sweep(config, sys.stdout)
+                try:
+                    sweep(config, sys.stdout)
+                    sys.stdout.flush()
+                except BrokenPipeError:
+                    _reader_gone()
             else:
                 with open(args.out, "w", newline="") as fh:
                     sweep(config, fh)

@@ -356,7 +356,8 @@ class Allocation:
     so equal allocations compare and hash equal; a good repeated within a
     bundle counts once. Run records keep their allocations, and a tuple
     costs 8 bytes a good where a set's hash table costs 35-70. A good that
-    is not an int (a bool neither) is an :class:`InvalidAllocation`; whether
+    is not an int (a bool neither), or that has over 4,300 digits and so
+    could not be written as JSON, is an :class:`InvalidAllocation`; whether
     the goods are the instance's, each in one bundle, is :func:`validate`'s
     check.
     """
@@ -375,7 +376,10 @@ class Allocation:
         # Sorting first keeps the ascending runs a bundle picked by value
         # usually has; sorting a set would scramble them by hash.
         canonical = []
-        for bundle in map(sorted, bundles):
+        for i, bundle in enumerate(map(sorted, bundles)):
+            if bundle and (bundle[0] <= -_DIGIT_BOUND or bundle[-1] >= _DIGIT_BOUND):
+                huge = max(bundle[0], bundle[-1], key=abs)
+                raise InvalidAllocation(f"bundle {i} references unknown good {_shown(huge)}")
             if len(set(bundle)) < len(bundle):
                 bundle = sorted(set(bundle))
             canonical.append(tuple(bundle))

@@ -2,19 +2,11 @@
 
 from __future__ import annotations
 
+from itertools import cycle, filterfalse, islice
 from typing import Optional, Sequence
 
 from .core import Allocation, DomainError
 from .elicitation import QueryOracle
-
-
-def _pick_top(ranking: Sequence[int], taken: list[bool], cursor: list[int], i: int) -> int:
-    """Advance agent i's cursor past taken goods and return her top pick."""
-    pos = cursor[i]
-    while taken[ranking[pos]]:
-        pos += 1
-    cursor[i] = pos + 1
-    return ranking[pos]
 
 
 def round_robin(
@@ -26,7 +18,8 @@ def round_robin(
     remaining good.
 
     ``participants`` and ``pool`` restrict the run to a subset of agents and
-    goods (used when this serves as a subroutine).
+    goods (used when this serves as a subroutine). Each agent walks her
+    ranking once, lazily, past the goods taken so far.
     """
     rankings = oracle.rankings
     n, m = oracle.n, oracle.m
@@ -37,17 +30,13 @@ def round_robin(
     taken = [True] * m
     for g in pool if pool is not None else range(m):
         taken[g] = False
-    remaining = pool_size = taken.count(False)
+    pool_size = taken.count(False)
     bundles: list[list[int]] = [[] for _ in range(n)]
-    cursor = [0] * n
-    while remaining > 0:
-        for i in agents:
-            if remaining == 0:
-                break
-            g = _pick_top(rankings[i], taken, cursor, i)
-            taken[g] = True
-            remaining -= 1
-            bundles[i].append(g)
+    walks = [filterfalse(taken.__getitem__, rankings[i]) for i in agents]
+    for walk, i in islice(cycle(zip(walks, agents)), pool_size):
+        g = next(walk)
+        taken[g] = True
+        bundles[i].append(g)
     return Allocation.from_bundles(bundles, complete=pool_size == m)
 
 
@@ -57,14 +46,9 @@ def rrla(oracle: QueryOracle) -> Allocation:
     n, m = oracle.n, oracle.m
     taken = [False] * m
     bundles: list[list[int]] = [[] for _ in range(n)]
-    cursor = [0] * n
-    remaining = m
-    for i in range(n - 1):
-        if remaining == 0:
-            break
-        g = _pick_top(rankings[i], taken, cursor, i)
+    for i in range(min(n - 1, m)):
+        g = next(filterfalse(taken.__getitem__, rankings[i]))
         taken[g] = True
-        remaining -= 1
         bundles[i].append(g)
-    bundles[n - 1] = [g for g in range(m) if not taken[g]]
+    bundles[n - 1] = list(filterfalse(taken.__getitem__, range(m)))
     return Allocation.from_bundles(bundles)

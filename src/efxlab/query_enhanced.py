@@ -8,7 +8,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, filterfalse, islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -264,13 +264,14 @@ def prr(oracle: QueryOracle, params: PRRParams) -> Allocation:
 
     # Each round visits the active agents by (top good, index); once one of
     # the agents sharing a top good is accepted, the others wait a round.
+    # A visit walks the ranking past taken goods only to the last segment top.
     while active and len(singled) < n - 1:
-        tops = {i: next(g for g in rankings[i] if not taken[g]) for i in active}
+        tops = {i: next(filterfalse(taken.__getitem__, rankings[i])) for i in active}
         for i in sorted(active, key=lambda i: (tops[i], i)):
             if taken[tops[i]]:
                 continue
-            available = [g for g in rankings[i] if not taken[g]]
-            segment_tops = [available[s] for s in starts if s < len(available)]
+            head = list(islice(filterfalse(taken.__getitem__, rankings[i]), starts[-1] + 1))
+            segment_tops = [head[s] for s in starts if s < len(head)]
             top_value, *seg_values = [oracle.query(i, g) for g in segment_tops]
             active.discard(i)
             if all(top_value >= b * v for b, v in zip(params.beta, seg_values)):

@@ -5,7 +5,8 @@ integer envy cycle with its row-major worth table, the
 exhaustive oracles' per-call row scaling and their chunked enumeration, the
 ``Fraction``-row builds of the ``virtual_efx`` proxy and mfrr's uncovered
 instance, the match-freeze and mfrr drivers with their own round loops, the
-grouped ``prr`` round loop with its segment-top walk, the recursive matching, the root enclosure bisected in
+grouped ``prr`` round loop with its segment-top walk, round robin and ``rrla``
+with their per-agent cursors, the recursive matching, the root enclosure bisected in
 ``Fraction`` arithmetic with ``theorem5_params``' segment-size refine loop on top,
 the harness's per-algorithm dispatch chains and the
 query adversary over ``Fraction`` rows, with its ``Fraction`` tier values and its
@@ -33,7 +34,7 @@ from efxlab.core import (
     format_value,
     parse_value,
 )
-from efxlab import adversarial, bivalued, core, elicitation, harness, ordinal, query_enhanced
+from efxlab import adversarial, bivalued, core, elicitation, harness, query_enhanced
 from efxlab.enclosures import integer_nth_root as library_integer_nth_root
 
 
@@ -493,6 +494,68 @@ def mfrr(oracle) -> Allocation:
     return Allocation(tuple(frozenset(b) for b in state.bundles), complete=True)
 
 
+def _pick_top(ranking: Sequence[int], taken: list[bool], cursor: list[int], i: int) -> int:
+    """Advance agent i's cursor past taken goods and return her top pick."""
+    pos = cursor[i]
+    while taken[ranking[pos]]:
+        pos += 1
+    cursor[i] = pos + 1
+    return ranking[pos]
+
+
+def round_robin(oracle, participants=None, pool=None) -> Allocation:
+    """The former ``ordinal.round_robin``: one cursor per agent and one
+    ``remaining`` test per pick."""
+    rankings = oracle.rankings
+    n, m = oracle.n, oracle.m
+    agents = list(participants) if participants is not None else list(range(n))
+    if not agents:
+        raise DomainError("participants must be nonempty")
+
+    taken = [True] * m
+    for g in pool if pool is not None else range(m):
+        taken[g] = False
+    remaining = pool_size = taken.count(False)
+    bundles: list[list[int]] = [[] for _ in range(n)]
+    cursor = [0] * n
+    while remaining > 0:
+        for i in agents:
+            if remaining == 0:
+                break
+            g = _pick_top(rankings[i], taken, cursor, i)
+            taken[g] = True
+            remaining -= 1
+            bundles[i].append(g)
+    return Allocation.from_bundles(bundles, complete=pool_size == m)
+
+
+def rrla(oracle) -> Allocation:
+    """The former ``ordinal.rrla``, with the cursors of :func:`round_robin`."""
+    rankings = oracle.rankings
+    n, m = oracle.n, oracle.m
+    taken = [False] * m
+    bundles: list[list[int]] = [[] for _ in range(n)]
+    cursor = [0] * n
+    remaining = m
+    for i in range(n - 1):
+        if remaining == 0:
+            break
+        g = _pick_top(rankings[i], taken, cursor, i)
+        taken[g] = True
+        remaining -= 1
+        bundles[i].append(g)
+    bundles[n - 1] = [g for g in range(m) if not taken[g]]
+    return Allocation.from_bundles(bundles)
+
+
+def two_query_bivalued(oracle) -> Allocation:
+    """``bivalued.two_query_bivalued`` over the reference :func:`prr`."""
+    n, m = oracle.n, oracle.m
+    if m < 2 * n:
+        raise DomainError("two-query variant requires m >= 2n")
+    return prr(oracle, query_enhanced.PRRParams(alpha=(n - 1,), beta=(Fraction(m, 2),)))
+
+
 def _segment_tops(
     ranking: Sequence[int], taken: Sequence[bool], alpha: Sequence[int], k: int
 ) -> list[int]:
@@ -560,7 +623,7 @@ def prr(oracle, params) -> Allocation:
         bundles[i].add(g)
     remaining = [g for g in range(m) if not taken[g]]
     if remaining:
-        rr = ordinal.round_robin(oracle, participants=sorted(rr_agents), pool=remaining)
+        rr = round_robin(oracle, participants=sorted(rr_agents), pool=remaining)
         for i in range(n):
             bundles[i] |= set(rr.bundles[i])
     return Allocation(tuple(frozenset(b) for b in bundles), complete=True)
@@ -764,10 +827,10 @@ def execute(
     oracle = elicitation.QueryOracle(instance, budget=budget)
 
     if algorithm == "round_robin":
-        allocation = ordinal.round_robin(oracle)
+        allocation = round_robin(oracle)
         bound, bound_kind = Fraction(1), "ef1"
     elif algorithm == "rrla":
-        allocation = ordinal.rrla(oracle)
+        allocation = rrla(oracle)
         bound = Fraction(1, m - n) if m > n else Fraction(1)
         bound_kind = "efx"
     elif algorithm == "virtual_efx":
@@ -786,16 +849,16 @@ def execute(
         params["k"] = kk
         params["lam"] = lamv
         params5 = query_enhanced.theorem5_params(n, m, kk, lamv)
-        allocation = query_enhanced.prr(oracle, params5)
+        allocation = prr(oracle, params5)
         bound, bound_kind = query_enhanced.theorem5_bound(n, m, kk, lamv), "efx"
     elif algorithm == "match_freeze":
         allocation = bivalued.match_and_freeze(instance)
         bound, bound_kind = Fraction(1), "efx"
     elif algorithm == "mfrr":
-        allocation = bivalued.mfrr(oracle)
+        allocation = mfrr(oracle)
         bound, bound_kind = Fraction(1, 2), "efx"
     else:  # two_query
-        allocation = bivalued.two_query_bivalued(oracle)
+        allocation = two_query_bivalued(oracle)
         bound, bound_kind = Fraction(1, n), "efx"
 
     report = core.fairness_report(instance, allocation)
@@ -926,12 +989,12 @@ def adversary_query(n: int, k: int, t: int, algorithm: str, budget: int) -> dict
     lam = harness.default_lambda(n, family.m, budget) if algorithm == "prr" else None
     run_oracle = elicitation.QueryOracle(family.revealed, budget=budget)
     if algorithm == "round_robin":
-        allocation = ordinal.round_robin(run_oracle)
+        allocation = round_robin(run_oracle)
     elif algorithm == "rrla":
-        allocation = ordinal.rrla(run_oracle)
+        allocation = rrla(run_oracle)
     elif algorithm == "prr":
         params5 = query_enhanced.theorem5_params(n, family.m, budget, lam or Fraction(1))
-        allocation = query_enhanced.prr(run_oracle, params5)
+        allocation = prr(run_oracle, params5)
     else:
         raise DomainError(f"algorithm {algorithm!r} not supported against the query family")
     picked, pair_bound = query_adversary_complete(family, run_oracle.transcript(), allocation)

@@ -199,6 +199,15 @@ def test_bad_goods_are_invalid_allocations(build, message):
         validate(inst([[1, 1], [1, 1]]), build())
 
 
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+def test_a_good_past_the_digit_limit_fails_when_the_allocation_is_built(sign):
+    for build in (Allocation.from_bundles, lambda b: Allocation.from_json({"bundles": b}, 3)):
+        with pytest.raises(InvalidAllocation, match="^bundle 1 references unknown good a number"):
+            build([[0], [1, sign * 10**4300]])
+    largest = Allocation.from_bundles([[0], [1, sign * (10**4300 - 1)]])
+    assert Allocation.from_json(json.loads(json.dumps(largest.to_json())), 3) == largest
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.lists(st.integers(-3, 9), max_size=6), min_size=1, max_size=4), st.booleans())
 def test_allocation_has_one_canonical_form(bundles, complete):
@@ -512,7 +521,7 @@ def test_allocation_from_json_reads_or_rejects_every_value_quickly(data, m):
         for bundle in allocation.bundles:
             assert type(bundle) is tuple and all(type(g) is int for g in bundle)
             assert list(bundle) == sorted(set(bundle))
-        assert Allocation.from_json(allocation.to_json(), m) == allocation
+        assert Allocation.from_json(json.loads(json.dumps(allocation.to_json())), m) == allocation
 
 
 def test_allocation_json_completeness_comes_from_m():

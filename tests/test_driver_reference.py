@@ -1,13 +1,15 @@
-"""Differential tests of the shared match-freeze driver and the flat ``prr``
-loop against the loops they replaced, kept in ``fraction_reference``: on
-seeded random instances, with ties, n = 1, m < n, k = 1..4, flat-top agents
-and instances with no transition, the allocations, the transcripts (query
-order included) and the errors must be identical."""
+"""Differential tests of the shared match-freeze driver, the flat ``prr``
+loop and the lazy ranking walks against the loops and cursors they
+replaced, kept in ``fraction_reference``: on seeded random instances, with
+ties, n = 1, m < n, k = 1..4, flat-top agents and instances with no
+transition, the allocations, the transcripts (query order included) and the
+errors must be identical."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fraction_reference as ref
 from efxlab import (
@@ -18,7 +20,12 @@ from efxlab import (
     match_and_freeze,
     mfrr,
     prr,
+    round_robin,
+    rrla,
+    theorem5_params,
+    two_query_bivalued,
 )
+from efxlab.harness import default_lambda, generate_instance
 
 
 def outcome(algorithm, instance, *args):
@@ -124,3 +131,32 @@ def test_mfrr_driver_matches_its_own_loop():
             flat = [i for i in range(n) if not has_transition(instance, i)]
             seen.add("no transition" if len(flat) == n else "flat-top" if flat else "all matched")
     assert seen == {"error", "m < n", "no transition", "flat-top", "all matched"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    kind=st.sampled_from(("uniform", "bivalued")),
+    n=st.integers(1, 7),
+    m=st.integers(1, 50),
+    seed=st.integers(0, 10**6),
+)
+def test_ranking_walks_match_cursor_reference(data, kind, n, m, seed):
+    instance = generate_instance(kind, n, m, seed=seed)
+    participants = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    pool = data.draw(st.lists(st.integers(0, m - 1), unique=True))
+    assert outcome(round_robin, instance, participants, pool) == outcome(
+        ref.round_robin, instance, participants, pool
+    )
+    assert outcome(round_robin, instance) == outcome(ref.round_robin, instance)
+    assert outcome(rrla, instance) == outcome(ref.rrla, instance)
+    for k in (2, 3, 4):
+        lam = data.draw(st.sampled_from((None, Fraction(1), Fraction(3, 2), Fraction(40))))
+        try:
+            params = theorem5_params(n, m, k, lam if lam is not None else default_lambda(n, m, k))
+        except FairDivisionError:
+            continue
+        assert outcome(prr, instance, params) == outcome(ref.prr, instance, params)
+    if kind == "bivalued":
+        assert outcome(two_query_bivalued, instance) == outcome(ref.two_query_bivalued, instance)
+        assert outcome(mfrr, instance) == outcome(ref.mfrr, instance)

@@ -507,3 +507,27 @@ def test_python_dash_m_runs_the_cli(capsys):
     )
     assert main(argv) == EXIT_OK
     assert (proc.returncode, proc.stdout) == (EXIT_OK, capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_closed_pipe_ends_the_cli_quietly(tmp_path, command):
+    instance = tmp_path / "i.json"
+    instance.write_text(json.dumps(generate_instance("uniform", 3, 40, seed=1).to_json()))
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"runs": [{"n": 3, "m": 40, "algorithm": "rrla", "trials": 3}]}))
+    argv = {
+        "run": ["run", "--instance", str(instance), "--alg", "round_robin"],
+        "sweep": ["sweep", "--config", str(config)],
+    }[command]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child writes a byte
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "efxlab", *argv],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -29,7 +30,8 @@ from efxlab.query_enhanced import (
     virtual_instance,
 )
 from efxlab.enclosures import pow_enclosure, sqrt_enclosure
-from efxlab.harness import default_lambda
+from efxlab import query_enhanced
+from efxlab.harness import default_lambda, generate_instance
 from helpers import time_limit
 
 
@@ -345,3 +347,30 @@ def test_prr_m_less_than_n_trivial():
     inst = Instance.from_rows([[1], [2], [3]])
     a = prr(QueryOracle(inst), PRRParams(alpha=(), beta=()))
     assert [sorted(b) for b in a.bundles] == [[0], [], []]
+
+
+def test_prr_singleton_phase_reads_only_the_heads_of_the_rankings():
+    # Each ranking counts the entries its iterators yield; the count is read
+    # when prr hands the rest to round robin.
+    yielded = [0]
+
+    class CountedRanking(tuple):
+        def __iter__(self):
+            for g in super().__iter__():
+                yielded[0] += 1
+                yield g
+
+    at_round_robin = []
+
+    def counted_round_robin(*args):
+        at_round_robin.append(yielded[0])
+        return round_robin(*args)
+
+    n, m, k = 20, 2000, 2
+    oracle = QueryOracle(generate_instance("uniform", n, m, seed=1))
+    oracle.rankings = tuple(map(CountedRanking, oracle.rankings))
+    params = theorem5_params(n, m, k, default_lambda(n, m, k))
+    with mock.patch.object(query_enhanced, "round_robin", counted_round_robin):
+        prr(oracle, params)
+    last_start = sum(params.alpha)
+    assert n <= at_round_robin[0] <= n * (last_start + 1) + n * n

@@ -337,7 +337,7 @@ def test_match_freeze_rounds_match_reference(instance):
     while new.pool:
         match_freeze_round(new)
         ref.match_freeze_round(instance, agents, old)
-        assert (new.pool, new.bundles, new.freeze_counters, new.frozen_events) == (
+        assert (new.pool, list(map(set, new.bundles)), new.freeze_counters, new.frozen_events) == (
             old.pool,
             old.bundles,
             old.freeze_counters,
