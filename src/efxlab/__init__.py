@@ -18,7 +18,7 @@ from .core import (
     parse_value,
     validate,
 )
-from .elicitation import BudgetExceeded, QueryOracle
+from .elicitation import BudgetExceeded, InconsistentTranscript, QueryOracle
 from .ordinal import round_robin, rrla
 from .query_enhanced import (
     AgentVirtualValuation,
@@ -45,7 +45,6 @@ from .bivalued import (
     two_query_bivalued,
 )
 from .adversarial import (
-    InconsistentTranscript,
     OrdinalLBFamily,
     QueryLBFamily,
     ordinal_adversary_pick,

@@ -13,19 +13,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (
-    Allocation, DomainError, FairDivisionError, Instance, _scale_row, pair_factor, validate
-)
-from .elicitation import first_disagreement
+from .core import Allocation, DomainError, Instance, _scale_row, pair_factor, validate
+from .elicitation import InconsistentTranscript, first_disagreement
 from .enclosures import sqrt_enclosure
 
 # The most values (n * m) a lower-bound family or a generated instance is built
 # with; a bigger one would not fit in memory.
 MAX_FAMILY_VALUES = 10**7
-
-
-class InconsistentTranscript(FairDivisionError):
-    """Transcript answers disagree with the family's revealed values."""
 
 
 @dataclass(frozen=True)

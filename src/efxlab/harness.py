@@ -59,16 +59,18 @@ class AlgorithmSpec:
     """How :func:`execute` runs one algorithm and which bound it carries.
 
     ``run(oracle, k, lam, blackbox)`` returns (allocation, bound, params,
-    extras); ``bound_kind`` names the factor the bound constrains ("efx" or
-    "ef1"); ``bivalued`` algorithms need a bivalued instance; the
+    extras), and gets the instance instead of the oracle only when
+    ``full_information``; ``bound_kind`` names the factor the bound constrains
+    ("efx" or "ef1"); ``bivalued`` algorithms need a bivalued instance; the
     ``query_family`` ones also run against the query family, with the budget
     as k. Runners look the algorithms up as module globals at call time.
     """
 
-    run: Callable[[QueryOracle, Optional[int], Optional[Fraction], str], tuple]
+    run: Callable[[QueryOracle | Instance, Optional[int], Optional[Fraction], str], tuple]
     bound_kind: str
     bivalued: bool = False
     query_family: bool = False
+    full_information: bool = False
 
 
 def _run_round_robin(oracle: QueryOracle, *_) -> tuple:
@@ -99,9 +101,8 @@ def _run_prr(oracle: QueryOracle, k: Optional[int], lam: Optional[Fraction], _bl
     return allocation, theorem5_bound(n, m, k, lam), {"k": k, "lam": lam}, {}
 
 
-def _run_match_freeze(oracle: QueryOracle, *_) -> tuple:
-    # The full-information algorithm is the one runner given the instance.
-    return match_and_freeze(oracle.hidden_instance()), Fraction(1), {}, {}
+def _run_match_freeze(instance: Instance, *_) -> tuple:
+    return match_and_freeze(instance), Fraction(1), {}, {}
 
 
 def _run_mfrr(oracle: QueryOracle, *_) -> tuple:
@@ -119,7 +120,7 @@ ALGORITHM_SPECS = {
     "rrla": AlgorithmSpec(_run_rrla, "efx", query_family=True),
     "virtual_efx": AlgorithmSpec(_run_virtual_efx, "efx"),
     "prr": AlgorithmSpec(_run_prr, "efx", query_family=True),
-    "match_freeze": AlgorithmSpec(_run_match_freeze, "efx", bivalued=True),
+    "match_freeze": AlgorithmSpec(_run_match_freeze, "efx", bivalued=True, full_information=True),
     "mfrr": AlgorithmSpec(_run_mfrr, "efx", bivalued=True),
     "two_query": AlgorithmSpec(_run_two_query, "efx", bivalued=True),
 }
@@ -235,9 +236,11 @@ def execute(
     spec = ALGORITHM_SPECS[algorithm]
     if spec.bivalued and instance.bivalued_meta is None:
         raise NotBivalued(f"{algorithm} requires a bivalued instance")
+    # Only a full-information runner gets the instance; its record shows an empty view.
     oracle = QueryOracle(instance, budget=budget)
+    given = instance if spec.full_information else oracle
     start = time.perf_counter()
-    allocation, bound, params, extras = spec.run(oracle, k, lam, blackbox)
+    allocation, bound, params, extras = spec.run(given, k, lam, blackbox)
     wall = time.perf_counter() - start
     report = fairness_report(instance, allocation)
     metric = report.alpha_efx if spec.bound_kind == "efx" else report.alpha_ef1

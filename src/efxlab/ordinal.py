@@ -17,15 +17,17 @@ def round_robin(
     """Agents, in ascending index order, repeatedly pick their top-ranked
     remaining good.
 
-    ``participants`` and ``pool`` restrict the run to a subset of agents and
-    goods (used when this serves as a subroutine). Each agent walks her
-    ranking once, lazily, past the goods taken so far.
+    ``participants`` (an agent listed twice picks twice a round) and ``pool``
+    restrict the run to agents and goods, when this serves as a subroutine.
+    Each agent walks her ranking once, lazily, past the goods taken so far.
     """
     rankings = oracle.rankings
     n, m = oracle.n, oracle.m
     agents = list(participants) if participants is not None else list(range(n))
-    if not agents:
-        raise DomainError("participants must be nonempty")
+    if not agents or not 0 <= min(agents) <= max(agents) < n:
+        raise DomainError(f"participants must be nonempty, among agents 0..{n - 1}")
+    if pool is not None and len(pool) and not 0 <= min(pool) <= max(pool) < m:
+        raise DomainError(f"pool goods must lie in 0..{m - 1}")
 
     taken = [True] * m
     for g in pool if pool is not None else range(m):

@@ -40,13 +40,12 @@ class AgentVirtualValuation:
     """One agent's lower-bounding proxy valuation.
 
     ``top_values`` are the queried values of her first n-1 ranked goods.
-    ``bucket_bounds`` lists, per threshold level, the last ranking position
-    (0-based, inclusive) whose value clears that level; positions past the
-    final bound get virtual value 0.
+    ``bucket_bounds`` lists, per level of :func:`bucket_thresholds`, the last
+    ranking position (0-based, inclusive) whose value clears that level;
+    positions past the final bound get virtual value 0.
     """
 
     top_values: tuple[Fraction, ...]
-    thresholds: tuple[Fraction, ...]
     bucket_bounds: tuple[int, ...]
 
 
@@ -101,7 +100,7 @@ def bucketize(oracle: QueryOracle, agent: int, k: int) -> AgentVirtualValuation:
         if anchor != 0:
             prev = _last_position_at_least(oracle, agent, anchor * level_value, prev + 1, m - 1)
         bounds.append(prev)
-    return AgentVirtualValuation(top_values, thresholds, tuple(bounds))
+    return AgentVirtualValuation(top_values, tuple(bounds))
 
 
 def virtual_instance(
@@ -123,9 +122,10 @@ def virtual_instance(
         anchor = vv.top_values[-1] if vv.top_values else Fraction(0)
         runs = [(v, 1) for v in vv.top_values]
         start = len(vv.top_values)
+        thresholds = bucket_thresholds(m, len(vv.bucket_bounds))
         for level, bound in enumerate(vv.bucket_bounds):
             if bound >= start:
-                runs.append((anchor * vv.thresholds[level], bound + 1 - start))
+                runs.append((anchor * thresholds[level], bound + 1 - start))
                 start = bound + 1
         scale = math.lcm(*(v.denominator for v, _ in runs))
         xs += [v.numerator * (scale // v.denominator) for v, _ in runs]

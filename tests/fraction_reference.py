@@ -403,8 +403,9 @@ def virtual_row(vv, ranking: Sequence[int], m: int) -> tuple[Fraction, ...]:
     for pos, v in enumerate(vv.top_values):
         row[ranking[pos]] = v
     start = len(vv.top_values)
+    thresholds = query_enhanced.bucket_thresholds(m, len(vv.bucket_bounds))
     for level, bound in enumerate(vv.bucket_bounds):
-        level_value = anchor * vv.thresholds[level]
+        level_value = anchor * thresholds[level]
         for pos in range(start, bound + 1):
             row[ranking[pos]] = level_value
         start = max(start, bound + 1)

@@ -53,6 +53,7 @@ def test_table_order_and_flags():
     assert [a for a in ALGORITHMS if ALGORITHM_SPECS[a].bivalued] == [
         "match_freeze", "mfrr", "two_query"
     ]
+    assert [a for a in ALGORITHMS if ALGORITHM_SPECS[a].full_information] == ["match_freeze"]
     assert {a: ALGORITHM_SPECS[a].bound_kind for a in ALGORITHMS} == {
         a: "ef1" if a == "round_robin" else "efx" for a in ALGORITHMS
     }

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from efxlab import Instance, QueryOracle
+from efxlab import Instance, QueryOracle, elicitation, harness
 
 TRACING = Path(__file__).resolve().parent.parent / "efxbench" / "tracing.py"
 
@@ -39,3 +39,21 @@ def test_oracle_reports_query_counts_per_agent():
     oracle = QueryOracle(Instance.from_rows([[1, 2], [3, 4]]))
     oracle.query(1, 0)
     assert oracle.snapshot_counts() == {0: 0, 1: 1}
+
+
+def test_a_traced_run_registers_its_one_oracle(monkeypatch):
+    """The tracer wraps ``QueryOracle.__init__`` to collect each op's oracles
+    and reads their ``snapshot_counts()``; ``execute`` must build exactly one
+    oracle through it, whose counts are the run's."""
+    registered = []
+    original_init = elicitation.QueryOracle.__init__
+
+    def init_and_register(oracle, *args, **kwargs):
+        original_init(oracle, *args, **kwargs)
+        registered.append(oracle)
+
+    monkeypatch.setattr(elicitation.QueryOracle, "__init__", init_and_register)
+    record = harness.execute(harness.generate_instance("uniform", 4, 30, seed=3), "prr")
+    assert len(registered) == 1
+    assert list(registered[0].snapshot_counts().values()) == record.query_counts
+    assert sum(record.query_counts) > 0

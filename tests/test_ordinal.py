@@ -53,6 +53,30 @@ def test_round_robin_empty_participants():
         round_robin(oracle_for([[1], [1]]), participants=[])
 
 
+@pytest.mark.parametrize(
+    "restriction,message",
+    [
+        ({"participants": [-1]}, "participants"),
+        ({"participants": [5]}, "participants"),
+        ({"participants": [0, 2]}, "participants"),
+        ({"pool": [-1]}, "pool"),
+        ({"pool": [7]}, "pool"),
+        ({"pool": [0, 3]}, "pool"),
+    ],
+    ids=["agent-below", "agent-past", "agent-past-later", "good-below", "good-past", "good-past-later"],
+)
+def test_round_robin_rejects_an_index_outside_the_instance(restriction, message):
+    with pytest.raises(DomainError, match=message):
+        round_robin(oracle_for([[3, 2, 1], [1, 2, 3]]), **restriction)
+
+
+def test_round_robin_repeated_participant_picks_twice_a_round():
+    o = oracle_for([[5, 4, 3, 2, 1], [5, 4, 3, 2, 1]])
+    a = round_robin(o, participants=[0, 0, 1])
+    assert a.bundles == ((0, 1, 3, 4), (2,))
+    assert round_robin(o, pool=[]).bundles == ((), ())
+
+
 def test_rrla_trace():
     a = rrla(oracle_for([[4, 3, 2, 1], [4, 3, 2, 1]]))
     assert [sorted(b) for b in a.bundles] == [[0], [1, 2, 3]]
@@ -60,17 +84,18 @@ def test_rrla_trace():
 
 def test_rrla_all_ones_tight():
     n, m = 3, 6
-    o = oracle_for([[1] * m] * n)
+    inst = Instance.from_rows([[1] * m] * n)
+    o = QueryOracle(inst)
     a = rrla(o)
-    assert fairness_report(o.hidden_instance(), a).alpha_efx == Fraction(1, m - n)
+    assert fairness_report(inst, a).alpha_efx == Fraction(1, m - n)
     assert o.snapshot_counts() == {i: 0 for i in range(n)}
 
 
 def test_rrla_m_equals_n_singletons():
-    o = oracle_for([[3, 2, 1]] * 3)
-    a = rrla(o)
+    inst = Instance.from_rows([[3, 2, 1]] * 3)
+    a = rrla(QueryOracle(inst))
     assert all(len(b) == 1 for b in a.bundles)
-    assert fairness_report(o.hidden_instance(), a).alpha_efx == 1
+    assert fairness_report(inst, a).alpha_efx == 1
 
 
 def test_round_robin_always_ef1_random():

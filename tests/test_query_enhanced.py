@@ -85,7 +85,7 @@ def test_virtual_dominance_and_bucket_membership():
         ranking = o.rankings[0]
         row = ref.virtual_row(vv, ranking, m)
         anchor = vv.top_values[-1]
-        thresholds = vv.thresholds
+        thresholds = bucket_thresholds(m, k)
         true_row = ref.fraction_rows(inst)[0]
         for pos, g in enumerate(ranking):
             true = true_row[g]
@@ -171,11 +171,12 @@ def test_virtual_efx_m_less_than_n_trivial():
 
 
 def test_virtual_instance_materialization():
-    o = oracle_for([[8, 4, 1, Fraction(1, 2)], [1, 2, 4, 8]])
+    inst = Instance.from_rows([[8, 4, 1, Fraction(1, 2)], [1, 2, 4, 8]])
+    o = QueryOracle(inst)
     virtuals = [bucketize(o, i, 1) for i in range(2)]
     proxy = virtual_instance(o, virtuals)
     assert proxy.n == 2 and proxy.m == 4
-    virtual, hidden = ref.fraction_rows(proxy), ref.fraction_rows(o.hidden_instance())
+    virtual, hidden = ref.fraction_rows(proxy), ref.fraction_rows(inst)
     for i in range(2):
         for g in range(4):
             assert virtual[i][g] <= hidden[i][g]
@@ -290,12 +291,10 @@ def test_prr_params_validation():
 
 
 def test_prr_worked_example():
-    rows = [[9, 1, 1, 1, 1, 1, 1, 1]] * 2
-    o = oracle_for(rows, budget=2)
-    a = prr(o, PRRParams(alpha=(1,), beta=(Fraction(4),)))
+    inst = Instance.from_rows([[9, 1, 1, 1, 1, 1, 1, 1]] * 2)
+    a = prr(QueryOracle(inst, budget=2), PRRParams(alpha=(1,), beta=(Fraction(4),)))
     assert sorted(a.bundles[0]) == [0]
     assert sorted(a.bundles[1]) == [1, 2, 3, 4, 5, 6, 7]
-    inst = o.hidden_instance()
     assert fairness_report(inst, a).alpha_efx == 1
 
 
