@@ -55,6 +55,14 @@ def _read(path: str) -> str:
         raise FairDivisionError(f"cannot read {path}: {exc.strerror}") from None
 
 
+def _write(path: str, **options):
+    """The file at ``path`` opened for writing, or a FairDivisionError."""
+    try:
+        return open(path, "w", **options)
+    except OSError as exc:
+        raise FairDivisionError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _read_json(path: str):
     try:
         return json.loads(_read(path))
@@ -136,7 +144,7 @@ def _emit(data: dict, path: str = "-") -> None:
         except BrokenPipeError:
             _reader_gone()
     else:
-        with open(path, "w") as fh:
+        with _write(path) as fh:
             fh.write(text + "\n")
 
 
@@ -176,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
                 except BrokenPipeError:
                     _reader_gone()
             else:
-                with open(args.out, "w", newline="") as fh:
+                with _write(args.out, newline="") as fh:
                     sweep(config, fh)
             return EXIT_OK
 

@@ -140,12 +140,24 @@ def _format_ratio(x: int, scale: int) -> str:
 
 def _matrix_dtype(top: int, m: int) -> type:
     """The dtype of a non-negative matrix of m columns whose largest entry is
-    ``top``: int64 when cross-multiplied bundle sums provably fit, exact
-    Python integers (object) otherwise. An entry of over 4,300 digits is a
-    :class:`DomainError`, since no output could print it."""
+    ``top``: the narrowest of int8, int16 and int32 that holds ``top`` when
+    cross-multiplied bundle sums provably fit int64, (top * m)**2 < 2**62,
+    and exact Python integers (object) otherwise. That rule implies
+    top < 2**31, so int64 is never needed. An entry of over 4,300 digits is
+    a :class:`DomainError`, since no output could print it.
+
+    A narrow matrix is safe because no code does elementwise arithmetic
+    between two of its entries, which would wrap silently. Every use is a
+    comparison, ``int()`` or ``.tolist()``, a min or max, a negation (in
+    range for a signed width, as entries are non-negative), or an add
+    reduction, which numpy accumulates in int64; the exhaustive oracles
+    widen the matrix to int64 before they add.
+    """
     if top >= _DIGIT_BOUND:
         raise DomainError("scaled values must be below 10**4300")
-    return np.int64 if (top * m) ** 2 < 2**62 else object
+    if (top * m) ** 2 >= 2**62:
+        return object
+    return np.int8 if top < 2**7 else np.int16 if top < 2**15 else np.int32
 
 
 def _int_matrix(rows: list[list[int]], shape: Optional[tuple[int, int]] = None) -> np.ndarray:
@@ -174,7 +186,9 @@ class Instance:
     row is in lowest terms: gcd(scales[i], *row) == 1. Ratios of one agent's
     values, and so her ranking and all her envy ratios, are those of the
     rationals; values of different agents are on different scales and must
-    not be compared.
+    not be compared. The matrix has the dtype of :func:`_matrix_dtype`, 1, 2
+    or 4 bytes a value (generated values, 0..20, are int8), or Python ints
+    where bundle sums could pass int64.
 
     ``bivalued_meta`` optionally records per-agent (high, low) value pairs;
     when present every entry of that agent's row must be one of the two.
@@ -433,7 +447,8 @@ def build_ranking(instance: Instance) -> tuple[tuple[int, ...], ...]:
 
     The rankings are built once per instance and then shared. They live as
     long as the instance, so every tuple holds the same int object for a
-    good, one per good rather than one per entry.
+    good, one per good rather than one per entry. The stable sort runs on
+    the matrix's own width, a radix sort for int8 and int16.
     """
     rankings = instance._ranking
     if rankings is None:

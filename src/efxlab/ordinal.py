@@ -24,6 +24,11 @@ def round_robin(
     rankings = oracle.rankings
     n, m = oracle.n, oracle.m
     agents = list(participants) if participants is not None else list(range(n))
+    # A bool or float would pass the range checks; indices are ints alone.
+    if not set(map(type, agents)) <= {int}:
+        raise DomainError("participants must be int agent indices")
+    if pool is not None and not set(map(type, pool)) <= {int}:
+        raise DomainError("pool goods must be int indices")
     if not agents or not 0 <= min(agents) <= max(agents) < n:
         raise DomainError(f"participants must be nonempty, among agents 0..{n - 1}")
     if pool is not None and len(pool) and not 0 <= min(pool) <= max(pool) < m:

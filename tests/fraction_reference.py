@@ -393,7 +393,9 @@ def scaled_rows(instance: Instance) -> np.ndarray:
     top = max((max(r) for r in rows), default=0)
     if top and (top * instance.m) ** 2 >= 2**62:
         return np.array(rows, dtype=object)
-    return np.array(rows, dtype=np.int64)
+    # The narrowest signed width that holds the largest entry.
+    dtype = np.int8 if top < 2**7 else np.int16 if top < 2**15 else np.int32
+    return np.array(rows, dtype=dtype)
 
 
 def virtual_row(vv, ranking: Sequence[int], m: int) -> tuple[Fraction, ...]:
@@ -750,8 +752,15 @@ def _allocation_from_digits(digits: np.ndarray, n: int) -> Allocation:
     return Allocation(tuple(frozenset(b) for b in bundles), complete=True)
 
 
-def exact_efx_bruteforce(instance: Instance) -> Optional[Allocation]:
+def _wide_values(instance: Instance) -> np.ndarray:
+    """The scaled matrix with room for bundle sums: int64 unless it holds
+    Python ints, since sums of a narrow width would wrap."""
     values = instance.scaled_values
+    return values if values.dtype == object else values.astype(np.int64)
+
+
+def exact_efx_bruteforce(instance: Instance) -> Optional[Allocation]:
+    values = _wide_values(instance)
     n = instance.n
     for digits in assignment_chunks(n, instance.m):
         sums, mins, big = _pair_tables(values, digits, n)
@@ -769,7 +778,7 @@ def exact_efx_bruteforce(instance: Instance) -> Optional[Allocation]:
 
 
 def best_alpha_bruteforce(instance: Instance) -> tuple[Fraction, Allocation]:
-    values = instance.scaled_values
+    values = _wide_values(instance)
     n = instance.n
     best_num, best_den = -1, 1
     best_digits: Optional[np.ndarray] = None

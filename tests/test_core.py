@@ -6,6 +6,7 @@ import types
 from fractions import Fraction
 from itertools import chain
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,7 +29,7 @@ from efxlab import (
     round_robin,
     validate,
 )
-from efxlab.core import trivial_few_goods_allocation
+from efxlab.core import _matrix_dtype, trivial_few_goods_allocation
 from efxlab.harness import generate_instance
 
 
@@ -64,7 +65,7 @@ def test_ranking_built_once_per_instance():
         generate_instance("uniform", 20, 2000, seed=1),
         inst([[10**12 + g % 7 for g in range(300)]] * 2),
     ],
-    ids=["int64", "object"],
+    ids=["narrow", "object"],
 )
 def test_rankings_share_one_int_per_good(instance):
     rankings = build_ranking(instance)
@@ -77,6 +78,35 @@ def test_ranking_cache_is_small():
     # against 1.37 MB with a fresh int per (agent, good) entry.
     instance = generate_instance("uniform", 20, 2000, seed=1)
     assert retained_bytes(lambda: build_ranking(instance)) < 0.6 * 2**20
+
+
+def test_generated_instance_is_small():
+    # 40,000 int8 values and the instance around them: about 42 KB here,
+    # against 322 KB when every value took an int64.
+    assert retained_bytes(lambda: generate_instance("uniform", 20, 2000, seed=1)) < 80_000
+
+
+WIDTHS = (np.int8, np.int16, np.int32)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        st.integers(0, 2**70),
+        st.sampled_from([2**b + d for b in (7, 15, 31, 62) for d in (-1, 0, 1)]),
+    ),
+    st.integers(1, 10**8),
+)
+def test_matrix_dtype_is_never_int64(top, m):
+    dtype = _matrix_dtype(top, m)
+    if (top * m) ** 2 >= 2**62:
+        assert dtype is object
+        return
+    # The narrowest of the three widths that holds top.
+    assert dtype in WIDTHS
+    index = WIDTHS.index(dtype)
+    assert top <= np.iinfo(dtype).max
+    assert index == 0 or top > np.iinfo(WIDTHS[index - 1]).max
 
 
 def test_allocation_is_small():

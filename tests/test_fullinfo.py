@@ -185,9 +185,9 @@ def test_envy_cycle_always_ef1():
 
 
 # Differential tests against the chunked oracles in ``fraction_reference``.
-# Value regimes: int64 rows; object rows whose bundle sums still fit int64;
-# rows so wide that the sums are Python integers.
-REGIMES = {"int64": 12, "object_int64_sums": 2**55, "wide": 2**97}
+# Value regimes: fixed-width (int8 to int32) rows; object rows whose bundle
+# sums still fit int64; rows so wide that the sums are Python integers.
+REGIMES = {"narrow": 12, "object_int64_sums": 2**55, "wide": 2**97}
 
 
 def proxy(instance, k):
@@ -198,8 +198,8 @@ def proxy(instance, k):
 
 def regime_of(instance):
     top = int(instance.scaled_values.max()) * instance.m
-    if instance.scaled_values.dtype == np.int64:
-        return "int64"
+    if instance.scaled_values.dtype != object:
+        return "narrow"
     return "object_int64_sums" if top < 2**62 else "wide"
 
 

@@ -416,6 +416,21 @@ def test_cli_missing_files_exit_2(tmp_path, capsys):
         assert "cannot read" in capsys.readouterr().err
 
 
+def test_cli_unwritable_out_exits_2(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"runs": [
+        {"kind": "uniform", "n": 2, "m": 4, "algorithm": "round_robin", "trials": 1}
+    ]}))
+    # A path under a missing directory, and a directory.
+    for out in (str(tmp_path / "missing" / "x.json"), str(tmp_path)):
+        for argv in (
+            ["gen", "--n", "2", "--m", "4", "--out", out],
+            ["sweep", "--config", str(config), "--out", out],
+        ):
+            assert main(argv) == EXIT_VALIDATION
+            assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+
 def test_cli_gen_zero_agents_exits_2(capsys):
     for kind in ("uniform", "bivalued"):
         assert main(["gen", "--kind", kind, "--n", "0", "--m", "4"]) == EXIT_VALIDATION

@@ -62,8 +62,16 @@ def test_round_robin_empty_participants():
         ({"pool": [-1]}, "pool"),
         ({"pool": [7]}, "pool"),
         ({"pool": [0, 3]}, "pool"),
+        # A float or bool is no index, even where it equals one in range.
+        ({"participants": [0.5]}, "participants"),
+        ({"participants": [True]}, "participants"),
+        ({"participants": [0, 1.0]}, "participants"),
+        ({"pool": [1.0]}, "pool"),
+        ({"pool": [True, 2]}, "pool"),
+        ({"pool": [0, 2, False]}, "pool"),
     ],
-    ids=["agent-below", "agent-past", "agent-past-later", "good-below", "good-past", "good-past-later"],
+    ids=["agent-below", "agent-past", "agent-past-later", "good-below", "good-past", "good-past-later",
+         "agent-float", "agent-bool", "agent-float-later", "good-float", "good-bool", "good-bool-later"],
 )
 def test_round_robin_rejects_an_index_outside_the_instance(restriction, message):
     with pytest.raises(DomainError, match=message):

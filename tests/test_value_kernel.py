@@ -3,7 +3,7 @@ reference in ``fraction_reference``: the stored integer form of an instance,
 instance JSON in both directions, allocation validation, the adversarial
 families, query answers, the algorithms' proxy instances, rankings, fairness reports,
 every algorithm's run record, match-freeze rounds and the matching itself
-must be identical, on both the int64 and the object-dtype paths."""
+must be identical, on both the fixed-width and the object-dtype paths."""
 
 import dataclasses
 import json
@@ -36,11 +36,11 @@ from efxlab import (
     query_lb_build,
     validate,
 )
-from efxlab import core, elicitation, harness, query_enhanced
+from efxlab import core, elicitation, fullinfo, harness, query_enhanced
 from efxlab.bivalued import MatchFreezeState, match_freeze_round, prioritized_max_matching
 from efxlab.query_enhanced import bucketize, virtual_instance
 
-# Values whose scaled rows overflow the int64 rule and take the object path.
+# Values whose scaled rows overflow the fixed-width rule and take the object path.
 BIG = 10**12
 
 
@@ -122,7 +122,7 @@ def test_query_answers_equal_the_rationals(bivalued_meta, data):
     assert [v for _, _, v in oracle.transcript()] == [v for row in rows for v in row]
 
 
-# At m = 1000, k = 1 puts the proxy on the object path and k = 2 on int64.
+# At m = 1000, k = 1 puts the proxy on the object path and k = 2 on int8.
 PROXY_10X1000 = harness.generate_instance("uniform", 10, 1000, seed=1)
 
 
@@ -250,7 +250,7 @@ def test_fairness_report_binds_the_lowest_index_extreme_good():
 
 @st.composite
 def envy_cycle_instances(draw):
-    """n <= 12 and m <= 80 (n = 1 and m < n included), int64 or object
+    """n <= 12 and m <= 80 (n = 1 and m < n included), fixed-width or object
     rows, all on scale 1 or on mixed scales, with tied maxima, zero rows and
     zero columns likely."""
     n = draw(st.integers(1, 12))
@@ -345,19 +345,30 @@ def test_match_freeze_rounds_match_reference(instance):
         )
 
 
+# Largest entries on both sides of the int8 and int16 ranges, and beyond:
+# stored at the narrowest width that holds them, they must not change a
+# ranking (255 and 65535 would wrap in a width one size too small).
+EDGE_TOPS = (127, 128, 255, 32767, 32768, 65535, 2**40)
+
+
+def edge_instance(top):
+    return Instance.from_rows([[top, 0, top, 1, top - 1, 1], [3, top, 3, 0, 0, top]])
+
+
+def bivalued_edge_instance(top):
+    rows = [[top, 1, top, 1, 1, top], [top - 1, top, top, top - 1, top, top - 1]]
+    return Instance.from_rows(rows, [(top, 1), (top, top - 1)])
+
+
 def test_both_dtype_paths_are_exercised():
     small = Instance.from_rows([[1, Fraction(1, 2)], [3, 0]])
     large = Instance.from_rows([[BIG, Fraction(1, 3)], [0, 0]])
-    assert small.scaled_values.dtype == np.int64
+    assert small.scaled_values.dtype == np.int8
     assert large.scaled_values.dtype == object
-    # Largest entries on both sides of the int8 and int16 ranges, and beyond:
-    # a sort narrowed to the smallest width that holds them must not change
-    # a ranking (255 and 65535 would wrap in a width one size too small).
-    edges = [
-        Instance.from_rows([[top, 0, top, 1, top - 1, 1], [3, top, 3, 0, 0, top]])
-        for top in (127, 128, 255, 32767, 32768, 65535, 2**40)
+    edges = [edge_instance(top) for top in EDGE_TOPS]
+    assert [instance.scaled_values.dtype for instance in edges] == [
+        np.int8, np.int16, np.int16, np.int16, np.int32, np.int32, object
     ]
-    assert [instance.scaled_values.dtype for instance in edges] == [np.int64] * 6 + [object]
     plain = [
         Instance.from_rows([[5] * 6, [0] * 6]),  # all-equal rows
         Instance.from_rows([[2, 5, 5, 0, 5]]),  # n = 1
@@ -365,6 +376,41 @@ def test_both_dtype_paths_are_exercised():
     ]
     for instance in [small, large, *edges, *plain]:
         check_instance(instance)
+
+
+def int64_twin(instance):
+    """The same instance with its matrix stored as int64, the former width."""
+    matrix = instance.scaled_values.astype(np.int64)
+    return Instance._store(matrix, instance.scales, instance.bivalued_meta)
+
+
+@pytest.mark.parametrize("top", EDGE_TOPS[:-1])
+def test_narrow_width_runs_like_int64(top):
+    """Every result on a narrow matrix equals its int64 twin's: rankings,
+    brute force, every spec's run record and fairness reports, including
+    one of a bundle whose sum is past the narrow width's maximum."""
+    for narrow in (edge_instance(top), bivalued_edge_instance(top)):
+        wide = int64_twin(narrow)
+        assert narrow.scaled_values.dtype != np.int64
+        assert wide.scaled_values.dtype == np.int64
+        assert narrow == wide and hash(narrow) == hash(wide)
+        assert build_ranking(narrow) == build_ranking(wide)
+        assert fullinfo.exact_efx_bruteforce(narrow) == fullinfo.exact_efx_bruteforce(wide)
+        assert fullinfo.best_alpha_bruteforce(narrow) == fullinfo.best_alpha_bruteforce(wide)
+        # Agent 0 holds every good; at tops 127 and 32767 her bundle's sum is
+        # past the maximum of int8 and of int16.
+        grand = Allocation.from_bundles([range(narrow.m), []])
+        if top in (127, 32767):
+            width = np.iinfo(narrow.scaled_values.dtype).max
+            assert sum(narrow.scaled_values[0].tolist()) > width
+        allocations = [grand]
+        for algorithm in harness.ALGORITHMS:
+            new, old = outcome(narrow, algorithm, "exact"), outcome(wide, algorithm, "exact")
+            assert new == old, algorithm
+            if isinstance(new, harness.RunRecord):
+                allocations.append(new.allocation)
+        for allocation in allocations:
+            assert fairness_report(narrow, allocation) == fairness_report(wide, allocation)
 
 
 def test_matching_matches_recursive_reference():
